@@ -14,7 +14,7 @@ Core::Core(TileId tile, const config::PitonParams &params,
            power::EnergyLedger &ledger, power::TileEnergyLedger &tile_energy,
            double dyn_factor)
     : tile_(tile), params_(params), mem_(mem), energy_(energy),
-      ledger_(ledger), tileEnergy_(tile_energy), dynFactor_(dyn_factor)
+      ledger_(ledger), dynFactor_(dyn_factor), tileEnergy_(tile_energy)
 {
     threads_.resize(params_.threadsPerCore);
     lastIssue_.resize(params_.threadsPerCore, {nullptr, 0});

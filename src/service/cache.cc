@@ -120,6 +120,20 @@ ResultCache::lookup(const Hash128 &key)
     return it->second.payload;
 }
 
+CachePayload
+ResultCache::probe(const Hash128 &key)
+{
+    Shard &shard = shardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.entries.find(key);
+    if (it == shard.entries.end()
+        || payloadCrc(*it->second.payload) != it->second.crc)
+        return nullptr;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lruPos);
+    counters_->hits.fetch_add(1, std::memory_order_relaxed);
+    return it->second.payload;
+}
+
 void
 ResultCache::publish(const Hash128 &key, CachePayload payload)
 {

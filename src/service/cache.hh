@@ -112,6 +112,14 @@ class ResultCache
     /** Plain lookup: no single-flight registration. */
     CachePayload lookup(const Hash128 &key);
 
+    /**
+     * Memory-only hit check (the scheduler's inline path).  A hit is
+     * counted and refreshed exactly as acquire() does; an absent key
+     * counts nothing and never reads disk, and a corrupt entry reads as
+     * absent and is left for acquire() to evict and count.
+     */
+    CachePayload probe(const Hash128 &key);
+
     /** Store the leader's payload and wake all waiters. */
     void publish(const Hash128 &key, CachePayload payload);
 

@@ -15,7 +15,7 @@ namespace
 
 constexpr std::size_t kLatencyReservoir = 1024;
 
-/** Ready ticket for requests rejected before reaching the pool. */
+/** Ready ticket for requests settled before reaching the pool. */
 ExperimentScheduler::Ticket
 readyTicket(std::uint64_t id, ServeResult result)
 {
@@ -166,13 +166,15 @@ ExperimentScheduler::submit(const ExperimentRequest &req,
 {
     const std::uint64_t id =
         nextId_.fetch_add(1, std::memory_order_relaxed);
+    const auto submitted_at = now();
     {
         std::lock_guard<std::mutex> lock(metricsMutex_);
         ++counters_.submitted;
     }
 
-    const auto reject = [&](ServeResult r) {
-        recordOutcome(r, now());
+    // Outcomes decided here, on the caller's thread: no slot, no pool.
+    const auto finishNow = [&](ServeResult r) {
+        recordOutcome(r, submitted_at);
         if (on_done)
             on_done(r);
         return readyTicket(id, std::move(r));
@@ -182,7 +184,18 @@ ExperimentScheduler::submit(const ExperimentRequest &req,
     try {
         canon.canonicalize();
     } catch (const std::exception &e) {
-        return reject(failureResult(Status::Error, req.kind, e.what()));
+        return finishNow(failureResult(Status::Error, req.kind, e.what()));
+    }
+
+    // An exact in-memory hit is a lookup, not work: serve it before
+    // admission, so it never waits behind (or is shed by) queued runs.
+    const Hash128 key = canon.cacheKey(cfg_.versionSalt);
+    if (CachePayload hit = resultCache_.probe(key)) {
+        ServeResult r;
+        r.status = Status::Ok;
+        r.cacheHit = true;
+        r.body = std::move(hit);
+        return finishNow(std::move(r));
     }
 
     // Admission control: claim a slot or shed.  CAS loop rather than
@@ -190,12 +203,11 @@ ExperimentScheduler::submit(const ExperimentRequest &req,
     std::size_t depth = pending_.load(std::memory_order_relaxed);
     do {
         if (depth >= cfg_.maxPending)
-            return reject(failureResult(Status::Shed, canon.kind,
-                                        "server at capacity"));
+            return finishNow(failureResult(Status::Shed, canon.kind,
+                                           "server at capacity"));
     } while (!pending_.compare_exchange_weak(depth, depth + 1,
                                              std::memory_order_relaxed));
 
-    const auto submitted_at = now();
     RunControl ctl;
     ctl.cancelled = std::make_shared<std::atomic<bool>>(false);
     ctl.now = cfg_.clock;
@@ -209,9 +221,9 @@ ExperimentScheduler::submit(const ExperimentRequest &req,
     ticket.result = promise->get_future().share();
     ticket.cancel = ctl.cancelled;
 
-    pool_.submit([this, canon = std::move(canon), ctl, promise,
+    pool_.submit([this, canon = std::move(canon), key, ctl, promise,
                   submitted_at, on_done = std::move(on_done)] {
-        ServeResult r = execute(canon, ctl);
+        ServeResult r = execute(canon, key, ctl);
         recordOutcome(r, submitted_at);
         promise->set_value(r);
         if (on_done)
@@ -234,7 +246,7 @@ ExperimentScheduler::serve(const ExperimentRequest &req)
 
 ServeResult
 ExperimentScheduler::execute(const ExperimentRequest &canon,
-                             const RunControl &ctl)
+                             const Hash128 &key, const RunControl &ctl)
 {
     if (ctl.isCancelled() || ctl.deadlineExpired()) {
         const Status s = ctl.isCancelled() ? Status::Cancelled
@@ -242,7 +254,8 @@ ExperimentScheduler::execute(const ExperimentRequest &canon,
         return failureResult(s, canon.kind, "rejected in queue");
     }
 
-    const Hash128 key = canon.cacheKey(cfg_.versionSalt);
+    // A hit here is one that landed while the request was queued (or
+    // a disk hit, which the inline probe never reads).
     ResultCache::Acquired acq = resultCache_.acquire(key);
     if (acq.hit()) {
         ServeResult r;

@@ -7,14 +7,18 @@
  * submitted request is:
  *
  *  1. canonicalized (request.hh) — malformed requests fail here,
- *  2. admitted or shed: at most `maxPending` requests may be queued or
+ *  2. keyed once and probed: an exact hit in the in-memory result
+ *     cache is served right there, on the submitting thread — the
+ *     stored body byte-identically, with no admission slot and no pool
+ *     hand-off, so a hit is never shed even when the service is full,
+ *  3. admitted or shed: at most `maxPending` requests may be queued or
  *     running; beyond that the request is rejected immediately with
  *     Status::Shed instead of growing an unbounded queue,
- *  3. keyed and looked up: an exact cache hit returns the stored body
- *     byte-identically; concurrent misses on the same key coalesce
- *     (single-flight) so the experiment runs once,
- *  4. executed on the pool with its deadline/cancel control; only Ok
- *     responses are published to the cache.
+ *  4. executed on the pool: the single-flight lookup (ResultCache::
+ *     acquire) serves disk hits and hits that landed while the request
+ *     was queued, and coalesces concurrent misses on one key so the
+ *     experiment runs once; misses then run with their deadline/cancel
+ *     control, and only Ok responses are published to the cache.
  *
  * Per-request latency (submit to completion) feeds a bounded reservoir
  * from which metrics() derives p50/p99.  exportTelemetry() publishes
@@ -135,14 +139,17 @@ class ExperimentScheduler
     };
 
     /**
-     * Canonicalize, admit, and enqueue `req`.  Never throws: a
+     * Canonicalize, probe, admit, and enqueue `req`.  Never throws: a
      * malformed request yields a ready ticket with Status::Error, an
-     * over-capacity one a ready ticket with Status::Shed.
+     * exact in-memory cache hit a ready Ok ticket (cacheHit set), and
+     * an over-capacity miss a ready ticket with Status::Shed.
      *
      * `on_done`, when set, fires exactly once with the final result —
      * on the worker thread for executed requests, or synchronously
-     * inside submit() for requests rejected at admission.  The server
-     * uses it to push completions into its poll loop.
+     * inside submit() for inline cache hits and for requests rejected
+     * before admission.  The server writes synchronous results
+     * straight to the connection and pushes the rest into its poll
+     * loop.
      */
     Ticket submit(const ExperimentRequest &req,
                   std::function<void(const ServeResult &)> on_done = {});
@@ -175,7 +182,7 @@ class ExperimentScheduler
                           : std::chrono::steady_clock::now();
     }
     ServeResult execute(const ExperimentRequest &canon,
-                        const RunControl &ctl);
+                        const Hash128 &key, const RunControl &ctl);
     void recordOutcome(const ServeResult &r,
                        std::chrono::steady_clock::time_point submitted_at);
 

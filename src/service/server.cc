@@ -4,8 +4,10 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <poll.h>
 #include <sys/socket.h>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -13,6 +15,22 @@
 
 namespace piton::service
 {
+
+namespace
+{
+
+Frame
+responseFrame(std::uint64_t request_id, bool cache_hit,
+              const std::vector<std::uint8_t> &body)
+{
+    Frame resp;
+    resp.type = FrameType::Response;
+    resp.requestId = request_id;
+    resp.payload = encodeResponseEnvelope(cache_hit, body);
+    return resp;
+}
+
+} // namespace
 
 struct ExperimentServer::Connection
 {
@@ -240,41 +258,47 @@ ExperimentServer::handleFrame(Connection &conn, Frame frame)
             req = ExperimentRequest::decode(r);
             r.expectEnd();
         } catch (const std::exception &e) {
-            ServeResult bad;
-            bad.status = Status::Error;
-            bad.body = std::make_shared<const std::vector<std::uint8_t>>(
-                ExperimentResponse::failure(Status::Error,
-                                            Kind::MeasurePower, e.what())
-                    .encodeBody());
-            Frame resp;
-            resp.type = FrameType::Response;
-            resp.requestId = frame.requestId;
-            resp.payload = encodeResponseEnvelope(false, *bad.body);
-            enqueueFrame(conn, resp);
+            const ExperimentResponse bad = ExperimentResponse::failure(
+                Status::Error, Kind::MeasurePower, e.what());
+            enqueueFrame(conn, responseFrame(frame.requestId, false,
+                                             bad.encodeBody()));
             return true;
         }
         if (stopRequested_.load(std::memory_order_acquire)) {
-            Frame resp;
-            resp.type = FrameType::Response;
-            resp.requestId = frame.requestId;
-            resp.payload = encodeResponseEnvelope(
-                false, ExperimentResponse::failure(Status::Shed, req.kind,
-                                                   "server shutting down")
-                           .encodeBody());
-            enqueueFrame(conn, resp);
+            const ExperimentResponse shed = ExperimentResponse::failure(
+                Status::Shed, req.kind, "server shutting down");
+            enqueueFrame(conn, responseFrame(frame.requestId, false,
+                                             shed.encodeBody()));
             return true;
         }
+        // on_done runs on this (I/O) thread only when submit() settles
+        // the request synchronously: an inline cache hit, a request
+        // that fails canonicalization, or a shed.  `settled` is touched
+        // only then, while this frame is live, and that result is
+        // written right here; worker completions go through the
+        // completions queue and the wakeup pipe.
         const std::uint64_t conn_id = conn.id;
         const std::uint64_t request_id = frame.requestId;
+        const std::thread::id io_thread = std::this_thread::get_id();
+        std::optional<ServeResult> settled;
         ExperimentScheduler::Ticket ticket = scheduler_.submit(
-            req, [this, conn_id, request_id](const ServeResult &r) {
+            req, [this, conn_id, request_id, io_thread,
+                  &settled](const ServeResult &r) {
+                if (std::this_thread::get_id() == io_thread) {
+                    settled = r;
+                    return;
+                }
                 {
                     std::lock_guard<std::mutex> lock(completionsMutex_);
                     completions_.push_back({conn_id, request_id, r});
                 }
                 wakeup_.notify();
             });
-        conn.inflight.emplace(request_id, ticket.cancel);
+        if (settled)
+            enqueueFrame(conn, responseFrame(request_id, settled->cacheHit,
+                                             *settled->body));
+        else
+            conn.inflight.emplace(request_id, ticket.cancel);
         return true;
     }
     case FrameType::Cancel: {
@@ -358,12 +382,8 @@ ExperimentServer::flushCompletions()
         if (conn == nullptr)
             continue; // connection closed before the result arrived
         conn->inflight.erase(c.requestId);
-        Frame resp;
-        resp.type = FrameType::Response;
-        resp.requestId = c.requestId;
-        resp.payload =
-            encodeResponseEnvelope(c.result.cacheHit, *c.result.body);
-        enqueueFrame(*conn, resp);
+        enqueueFrame(*conn, responseFrame(c.requestId, c.result.cacheHit,
+                                          *c.result.body));
     }
 }
 

@@ -5,9 +5,13 @@
  * One poll()-driven I/O thread owns the listening socket, every client
  * connection, and a self-pipe wakeup; experiment execution happens on
  * the scheduler's worker pool.  The I/O thread therefore never blocks
- * on simulation, and workers never touch sockets: completions are
- * pushed through a queue + wakeup back to the poll loop, which frames
- * and writes the response on the originating connection.
+ * on simulation, and workers never touch sockets.  A request that the
+ * scheduler settles inside submit() — an exact in-memory cache hit, an
+ * admission reject, a malformed request — is answered on the spot: its
+ * response is framed and written before the read handler returns,
+ * with no queue and no wakeup.  Worker completions are pushed through
+ * a queue + wakeup back to the poll loop, which frames and writes the
+ * response on the originating connection.
  *
  * Per-connection state is a FrameParser (input), an output byte queue
  * (partial writes survive), and the set of in-flight request ids (for
@@ -115,6 +119,8 @@ class ExperimentServer
     std::vector<std::unique_ptr<Connection>> conns_; ///< I/O thread only
 
     std::mutex completionsMutex_;
+    /** Worker-thread results awaiting the poll loop (results settled
+     *  inside submit() never pass through here). */
     std::vector<Completion> completions_;
 };
 

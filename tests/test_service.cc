@@ -3,10 +3,10 @@
  * Experiment-service suite (src/service/): wire codec and framing,
  * request canonicalization and cache keying, the sharded result cache
  * (eviction, single-flight, corruption rejection, disk spill), the
- * scheduler (byte-identical cache hits, shedding, deadlines,
- * cancellation, version-bump invalidation), warm-vs-cold sweep bit
- * identity, and the TCP server end to end against the in-process
- * client.
+ * scheduler (byte-identical cache hits served inline on the
+ * submitting thread, shedding, deadlines, cancellation, version-bump
+ * invalidation), warm-vs-cold sweep bit identity, and the TCP server
+ * end to end against the in-process client.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -671,6 +672,155 @@ TEST(ServiceScheduler, VersionBumpInvalidatesDiskEntries)
     std::filesystem::remove_all(dir);
 }
 
+/** The cache key submit() derives for `req` (salt 0). */
+Hash128
+resultKeyOf(ExperimentRequest req)
+{
+    req.canonicalize();
+    return req.cacheKey(0);
+}
+
+TEST(ServiceScheduler, InlineHitDoesNotWaitForTheBusyWorker)
+{
+    ExperimentScheduler sched(tinySchedulerConfig(1));
+    const ExperimentRequest req = smallPowerRequest();
+    const ServeResult cold = sched.serve(req);
+    ASSERT_EQ(cold.status, Status::Ok);
+    sched.drain(); // serve() can return before its slot is released
+
+    // Hold the only worker: the sweep's completion callback parks it
+    // until released, and its slot stays claimed until then.
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    ExperimentScheduler::Ticket busy = sched.submit(
+        smallSweepRequest(), [gate](const ServeResult &) { gate.wait(); });
+
+    // A hit is settled inside submit(): ready on return, no slot taken.
+    const ExperimentScheduler::Ticket hit = sched.submit(req);
+    const bool ready = hit.result.wait_for(std::chrono::seconds(0))
+                       == std::future_status::ready;
+    const std::size_t depth = sched.metrics().queueDepth;
+    release.set_value();
+    EXPECT_TRUE(ready);
+    EXPECT_EQ(depth, 1u); // only the busy sweep
+    const ServeResult warm = hit.result.get();
+    EXPECT_EQ(warm.status, Status::Ok);
+    EXPECT_TRUE(warm.cacheHit);
+    EXPECT_EQ(*warm.body, *cold.body);
+    EXPECT_EQ(busy.result.get().status, Status::Ok);
+}
+
+TEST(ServiceScheduler, ColdWarmPairCountsOneMissAndOneHit)
+{
+    ExperimentScheduler sched(tinySchedulerConfig());
+    const ExperimentRequest req = smallPowerRequest();
+    ASSERT_FALSE(sched.serve(req).cacheHit);
+    ASSERT_TRUE(sched.serve(req).cacheHit);
+
+    const SchedulerMetrics m = sched.metrics();
+    EXPECT_EQ(m.resultCache.misses, 1u); // the inline probe counts none
+    EXPECT_EQ(m.resultCache.hits, 1u);
+    EXPECT_EQ(m.submitted, 2u);
+    EXPECT_EQ(m.completed, 2u);
+    EXPECT_EQ(m.cacheHits, 1u);
+}
+
+TEST(ServiceScheduler, CorruptEntryRecomputesThroughThePool)
+{
+    ExperimentScheduler sched(tinySchedulerConfig());
+    const ExperimentRequest req = smallPowerRequest();
+    const ServeResult cold = sched.serve(req);
+    ASSERT_EQ(cold.status, Status::Ok);
+    // Copy first: the hook flips a byte of the shared cached buffer.
+    const std::vector<std::uint8_t> cold_body = *cold.body;
+    ASSERT_TRUE(sched.resultCache().corruptEntryForTest(resultKeyOf(req)));
+
+    // The probe passes the bad entry on; acquire() evicts it once and
+    // the run repeats, byte for byte.
+    const ServeResult again = sched.serve(req);
+    ASSERT_EQ(again.status, Status::Ok);
+    EXPECT_FALSE(again.cacheHit);
+    EXPECT_EQ(*again.body, cold_body);
+    const ServeResult warm = sched.serve(req);
+    EXPECT_TRUE(warm.cacheHit);
+    EXPECT_EQ(*warm.body, cold_body);
+
+    const CacheStats c = sched.metrics().resultCache;
+    EXPECT_EQ(c.corruptRejected, 1u);
+    EXPECT_EQ(c.misses, 2u);
+    EXPECT_EQ(c.hits, 1u);
+}
+
+TEST(ServiceScheduler, DiskOnlyEntryStillHitsAfterRestart)
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "piton_inline_disk_test")
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const ExperimentRequest req = smallPowerRequest();
+    SchedulerConfig cfg = tinySchedulerConfig();
+    cfg.resultCache.diskDir = dir;
+
+    std::vector<std::uint8_t> cold_body;
+    {
+        ExperimentScheduler sched(cfg);
+        const ServeResult cold = sched.serve(req);
+        ASSERT_EQ(cold.status, Status::Ok);
+        cold_body = *cold.body;
+    }
+    {
+        // Memory is empty after the restart, so the inline probe finds
+        // nothing and the pool's acquire() reads the spill file.
+        ExperimentScheduler sched(cfg);
+        const ServeResult disk = sched.serve(req);
+        EXPECT_TRUE(disk.cacheHit);
+        EXPECT_EQ(*disk.body, cold_body);
+        const ServeResult memory = sched.serve(req);
+        EXPECT_TRUE(memory.cacheHit);
+        EXPECT_EQ(*memory.body, cold_body);
+
+        const SchedulerMetrics m = sched.metrics();
+        EXPECT_EQ(m.resultCache.diskHits, 1u);
+        EXPECT_EQ(m.resultCache.hits, 2u);
+        EXPECT_EQ(m.resultCache.misses, 0u);
+        EXPECT_EQ(m.cacheHits, 2u);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceScheduler, ExactHitIsServedAtCapacity)
+{
+    SchedulerConfig cfg = tinySchedulerConfig(1);
+    cfg.maxPending = 1;
+    ExperimentScheduler sched(cfg);
+    const ExperimentRequest req = smallPowerRequest();
+    const ServeResult cold = sched.serve(req);
+    ASSERT_EQ(cold.status, Status::Ok);
+    sched.drain(); // the busy sweep below must get the only slot
+
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    ExperimentScheduler::Ticket busy = sched.submit(
+        smallSweepRequest(), [gate](const ServeResult &) { gate.wait(); });
+
+    // The only slot is taken: a hit is still served, a miss is shed.
+    const ServeResult hit = sched.submit(req).result.get();
+    ExperimentRequest miss = smallPowerRequest();
+    miss.seed = 0x5eed;
+    const ServeResult shed = sched.submit(miss).result.get();
+    release.set_value();
+    EXPECT_EQ(hit.status, Status::Ok);
+    EXPECT_TRUE(hit.cacheHit);
+    EXPECT_EQ(*hit.body, *cold.body);
+    EXPECT_EQ(shed.status, Status::Shed);
+    EXPECT_EQ(busy.result.get().status, Status::Ok);
+    sched.drain();
+    const SchedulerMetrics m = sched.metrics();
+    EXPECT_EQ(m.shed, 1u);
+    EXPECT_EQ(m.cacheHits, 1u);
+}
+
 // ---- executor: warm-start bit identity ------------------------------
 
 TEST(ServiceExecutor, WarmStartedSweepIsBitIdenticalToCold)
@@ -774,6 +924,45 @@ TEST(ServiceServer, PipelinedRequestsResolveOutOfOrder)
 
     const SchedulerMetrics m = tcp.stats();
     EXPECT_GE(m.completed, 3u);
+    server.stop();
+}
+
+TEST(ServiceServer, PipelinedHitsAndMissesKeepIdsAndBytes)
+{
+    ServerConfig cfg;
+    cfg.scheduler.threads = 2;
+    ExperimentServer server(cfg);
+    server.start();
+
+    // Four distinct requests and their cold bodies from an independent
+    // in-process scheduler.
+    std::vector<ExperimentRequest> reqs;
+    std::vector<std::vector<std::uint8_t>> cold;
+    ExperimentScheduler local_sched(tinySchedulerConfig());
+    LocalClient local(local_sched);
+    for (std::uint64_t seed : {0xa1, 0xa2, 0xa3, 0xa4}) {
+        ExperimentRequest req = smallPowerRequest();
+        req.seed = seed;
+        reqs.push_back(req);
+        cold.push_back(local.run(req).body);
+    }
+
+    TcpClient tcp(server.port());
+    ASSERT_EQ(tcp.run(reqs[0]).body, cold[0]);
+    ASSERT_EQ(tcp.run(reqs[1]).body, cold[1]);
+
+    // Hits (0, 1) are answered inline while the misses (2, 3) run on
+    // the pool; every response must land on its own request id.
+    const std::vector<std::size_t> order = {0, 2, 1, 3, 0};
+    std::vector<std::uint64_t> ids;
+    for (const std::size_t i : order)
+        ids.push_back(tcp.submit(reqs[i]));
+    for (std::size_t k = order.size(); k-- > 0;) {
+        const ClientResult r = tcp.waitFor(ids[k]);
+        ASSERT_EQ(r.status, Status::Ok);
+        EXPECT_EQ(r.servedFromCache, order[k] < 2) << "position " << k;
+        EXPECT_EQ(r.body, cold[order[k]]) << "position " << k;
+    }
     server.stop();
 }
 

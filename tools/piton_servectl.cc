@@ -16,6 +16,7 @@
  * smoke job runs) and that the repeats were served from the cache.
  */
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -148,6 +149,9 @@ printStats(const service::SchedulerMetrics &m)
 int
 main(int argc, char **argv)
 {
+    // Parse the whole command line before connecting: a typo must fail
+    // with the usage message, not with a connection error or a run
+    // that silently ignored it.
     std::uint16_t port = 7425;
     int i = 1;
     if (i + 1 < argc && std::strcmp(argv[i], "--port") == 0) {
@@ -157,30 +161,22 @@ main(int argc, char **argv)
     if (i >= argc)
         usage(argv[0]);
     const std::string command = argv[i++];
+    if (command != "ping" && command != "stats" && command != "shutdown"
+        && command != "run")
+        usage(argv[0]);
+    if (command != "run" && i < argc)
+        usage(argv[0]); // trailing arguments
 
-    try {
-        service::TcpClient client(port);
-
-        if (command == "ping") {
-            client.ping();
-            std::printf("pong\n");
-            return 0;
-        }
-        if (command == "stats") {
-            printStats(client.stats());
-            return 0;
-        }
-        if (command == "shutdown") {
-            client.shutdownServer();
-            std::printf("server shut down\n");
-            return 0;
-        }
-        if (command != "run" || i >= argc)
+    service::ExperimentRequest req;
+    long repeat = 1;
+    bool expect_identical = false;
+    if (command == "run") {
+        const std::vector<std::string> presets = service::presetNames();
+        if (i >= argc
+            || std::find(presets.begin(), presets.end(), argv[i])
+                   == presets.end())
             usage(argv[0]);
-
-        service::ExperimentRequest req = service::presetRequest(argv[i++]);
-        long repeat = 1;
-        bool expect_identical = false;
+        req = service::presetRequest(argv[i++]);
         for (; i < argc; ++i) {
             const char *a = argv[i];
             const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
@@ -200,6 +196,25 @@ main(int argc, char **argv)
             } else {
                 usage(argv[0]);
             }
+        }
+    }
+
+    try {
+        service::TcpClient client(port);
+
+        if (command == "ping") {
+            client.ping();
+            std::printf("pong\n");
+            return 0;
+        }
+        if (command == "stats") {
+            printStats(client.stats());
+            return 0;
+        }
+        if (command == "shutdown") {
+            client.shutdownServer();
+            std::printf("server shut down\n");
+            return 0;
         }
 
         service::ClientResult first;
