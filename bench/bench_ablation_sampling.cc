@@ -102,7 +102,6 @@ main(int argc, char **argv)
                      10));
 
     sim::SystemOptions opts;
-    opts.engineThreads = args.engineThreads;
     opts.bbvBuckets = 128;
     const isa::Program kernel = workloads::makePhasedEnergyProgram(reps);
 

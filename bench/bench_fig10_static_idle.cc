@@ -24,7 +24,6 @@ main(int argc, char **argv)
 
     sim::SystemOptions opts;
     opts.sweepThreads = args.threads;
-    opts.engineThreads = args.engineThreads;
     const core::StaticIdleExperiment exp(opts, samples);
     TextTable t({"VDD (V)", "f (MHz)", "Core Static (W)", "SRAM Static (W)",
                  "Core Dynamic (W)", "SRAM Dynamic (W)", "Total Idle (W)"});

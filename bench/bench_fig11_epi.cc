@@ -23,7 +23,6 @@ main(int argc, char **argv)
 
     sim::SystemOptions opts;
     opts.sweepThreads = args.threads;
-    opts.engineThreads = args.engineThreads;
     core::EpiExperiment exp(opts, samples);
     std::cout << "Idle power (subtracted): "
               << fmtF(wToMw(exp.idlePowerW()), 1) << " mW\n\n";

@@ -21,7 +21,6 @@ main(int argc, char **argv)
         bench::parseBenchArgs(argc, argv, 128, 0);
     sim::SystemOptions opts;
     opts.sweepThreads = args.threads;
-    opts.engineThreads = args.engineThreads;
     const core::MtVsMcExperiment exp(opts,
                                      /*iterations=*/12000,
                                      /*hist_elements=*/4096,

@@ -23,7 +23,6 @@ main(int argc, char **argv)
 
     sim::SystemOptions opts = core::thermalStudyOptions();
     opts.sweepThreads = args.threads;
-    opts.engineThreads = args.engineThreads;
     const core::ThermalSweepExperiment exp(opts, args.samples);
     // The sweep runs through the telemetry path: one recorder per
     // family task, merged in task order (bit-identical at any

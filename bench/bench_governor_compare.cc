@@ -77,7 +77,6 @@ main(int argc, char **argv)
             sc.gov.capW = 2.5;
 
         sim::SystemOptions opts;
-        opts.engineThreads = args.engineThreads;
         sim::System sys(opts);
         telemetry::TelemetryRecorder rec;
         sys.attachTelemetry(&rec);
@@ -105,7 +104,7 @@ main(int argc, char **argv)
            " pure control-loop\nbehaviour.  pidcap tracks the phase cap"
            " schedule, ondemand rides utilization,\ntheas throttles"
            " memory-bound tiles and gates idle ones, none is the"
-           " static\nbaseline table.  Deterministic: bit-identical at"
-           " any --engine-threads.\n";
+           " static\nbaseline table.  Deterministic: bit-identical run"
+           " to run.\n";
     return 0;
 }

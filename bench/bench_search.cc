@@ -199,7 +199,7 @@ main(int argc, char **argv)
     }
 
     // Thread-invariance: the oracle's batch parallelism must not leak
-    // into results (DESIGN.md §12 extended to the search layer).
+    // into results (DESIGN.md §7 extended to the search layer).
     {
         search::InProcessOracle one(1), many(4);
         const search::SearchResult r1 =

@@ -50,18 +50,14 @@ BM_CoreIssueLoop(benchmark::State &state)
 BENCHMARK(BM_CoreIssueLoop);
 
 /**
- * Full-chip throughput at each sharded-engine thread count (the PR 6
- * tentpole's headline number).  Results are bit-identical at every
- * arg — the sweep exists to quantify the wall-clock scaling of the
- * run-ahead rounds, so it tracks real time: gang workers burn CPU
- * time that would otherwise flatter the multithreaded entries.
+ * Full-chip run-ahead throughput: all 25 tiles x 2 threads on the
+ * integer microbenchmark, in simulated core-cycles per second of real
+ * time.
  */
 void
 BM_FullChipInt(benchmark::State &state)
 {
-    sim::SystemOptions opts;
-    opts.engineThreads = static_cast<unsigned>(state.range(0));
-    sim::System sys(opts);
+    sim::System sys{sim::SystemOptions{}};
     const auto programs = workloads::loadMicrobench(
         sys, workloads::Microbench::Int, 25, 2, /*iterations=*/0);
     sys.pitonChip().run(50000);
@@ -69,13 +65,7 @@ BM_FullChipInt(benchmark::State &state)
         sys.pitonChip().run(5000);
     state.SetItemsProcessed(state.iterations() * 5000 * 25);
 }
-BENCHMARK(BM_FullChipInt)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
+BENCHMARK(BM_FullChipInt)->UseRealTime();
 
 void
 BM_MemorySystemL2Miss(benchmark::State &state)

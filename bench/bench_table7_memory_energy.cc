@@ -22,7 +22,6 @@ main(int argc, char **argv)
 
     sim::SystemOptions opts;
     opts.sweepThreads = args.threads;
-    opts.engineThreads = args.engineThreads;
     core::MemoryEnergyExperiment exp(opts, samples);
     const auto rows = exp.runAll();
 

@@ -40,10 +40,6 @@ struct BenchArgs
     /** Sweep-level worker threads (0 = all hardware threads).
      *  Results are bit-identical at any value (common/parallel.hh). */
     unsigned threads = 1;
-    /** Sharded-engine worker threads inside each simulated chip
-     *  (SystemOptions::engineThreads; 0 = all hardware threads).
-     *  Bit-identical at any value (DESIGN.md §12). */
-    unsigned engineThreads = 1;
     /** Telemetry output directory (--out); empty = no export. */
     std::string outDir;
     /** Periodic checkpoint cadence in sample windows
@@ -98,7 +94,7 @@ usageError(const char *prog, const char *msg, const char *arg)
                  arg ? arg : "");
     std::fprintf(stderr,
                  "usage: %s [--samples N] [--threads N]"
-                 " [--engine-threads N] [--out DIR]"
+                 " [--out DIR]"
                  " [--checkpoint-every N] [--checkpoint-out FILE]"
                  " [--resume-from FILE] [--governor POLICY]"
                  " [--scenario FILE] [extra flags] [positionals]\n",
@@ -126,8 +122,6 @@ numericValue(const char *prog, const char *flag, const char *value)
  * Parse the common bench flags:
  *   --samples N         monitor samples per measurement
  *   --threads N         sweep worker threads (0 = all hardware threads)
- *   --engine-threads N  sharded-engine threads per simulated chip
- *                       (0 = all hardware threads)
  *   --out DIR           telemetry export directory (benches that record
  *                       telemetry write <dir>/<bench>.{csv,jsonl})
  * plus any caller-allowed boolean `extra_flags` (e.g. "--full"),
@@ -167,10 +161,6 @@ parseBenchArgs(int argc, char **argv, std::uint32_t def_samples = 128,
             ++i;
         } else if (std::strcmp(a, "--threads") == 0) {
             args.threads = static_cast<unsigned>(
-                detail::numericValue(prog, a, next));
-            ++i;
-        } else if (std::strcmp(a, "--engine-threads") == 0) {
-            args.engineThreads = static_cast<unsigned>(
                 detail::numericValue(prog, a, next));
             ++i;
         } else if (std::strcmp(a, "--out") == 0) {

@@ -1,7 +1,6 @@
 #include "arch/piton_chip.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -11,38 +10,6 @@
 
 namespace piton::arch
 {
-
-namespace
-{
-
-/**
- * Stable two-way merge of sorted charge runs by cycleDelta.  Equal
- * keys take from the left run first; the merge tree only ever pairs a
- * run of lower core indices on the left, so the merged order is the
- * global (cycle, core) replay order — the exact FP add order of
- * in-order stepping (DESIGN.md §12).
- */
-void
-mergeChargeRuns(const power::CapturedCharge *a, std::size_t na,
-                const power::CapturedCharge *b, std::size_t nb,
-                power::CapturedCharge *out)
-{
-    while (na != 0 && nb != 0) {
-        if (b->cycleDelta < a->cycleDelta) {
-            *out++ = *b++;
-            --nb;
-        } else {
-            *out++ = *a++;
-            --na;
-        }
-    }
-    if (na != 0)
-        std::memcpy(out, a, na * sizeof(*a));
-    else if (nb != 0)
-        std::memcpy(out, b, nb * sizeof(*b));
-}
-
-} // namespace
 
 PitonChip::PitonChip(const config::PitonParams &params,
                      const chip::ChipInstance &instance,
@@ -58,21 +25,6 @@ PitonChip::PitonChip(const config::PitonParams &params,
             t, params_, *mem_, energy_, ledger_, tileEnergy_,
             instance_.dynFactor * instance_.tileFactor(t)));
     }
-}
-
-void
-PitonChip::setEngineThreads(unsigned threads)
-{
-    const unsigned resolved = std::min<unsigned>(
-        resolveThreadCount(threads), params_.tileCount);
-    engineThreads_ = std::max(1u, resolved);
-    // The gang is sized to the shard count; drop a stale one and let
-    // the next sharded round rebuild it lazily (single-threaded runs
-    // never pay for worker threads).
-    if (gang_ && gang_->shards() != engineThreads_)
-        gang_.reset();
-    if (engineThreads_ == 1)
-        gang_.reset();
 }
 
 void
@@ -230,7 +182,7 @@ PitonChip::runFast(Cycle max_cycles)
             // stretch in one contiguous slice, shared-memory ops are
             // serialized in global (cycle, core) order, and the charge
             // replay reconstructs the in-order ledger add sequence.
-            now_ = runAheadRound(first, std::min(first + roundCycles(),
+            now_ = runAheadRound(first, std::min(first + kRoundCycles,
                                                  end));
             scan();
         } else {
@@ -299,51 +251,23 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
     // only the core's own state and its own tile's L1I (fills come
     // only from that tile's fetches; an L1I hit charges nothing to the
     // shared ledger), and every charge is diverted into the core-owned
-    // log — so the slices of different cores share nothing and shard
-    // cleanly.  Each shard owns a fixed contiguous tile range; the
-    // serial note() merge afterwards runs in core-index order, so the
-    // heap contents — and everything downstream — are independent of
-    // the shard count (DESIGN.md §12).
-    const bool sharded = engineThreads_ > 1;
-    if (sharded) {
-        if (!gang_)
-            gang_ = std::make_unique<WorkerGang>(engineThreads_);
-        const unsigned shards = gang_->shards();
-        aheadResults_.resize(n);
-        aheadRan_.assign(n, 0);
-        gang_->run([&](unsigned shard) {
-            const std::size_t lo = n * shard / shards;
-            const std::size_t hi = n * (shard + 1) / shards;
-            for (std::size_t i = lo; i < hi; ++i) {
-                const Cycle e = nextAt_[i];
-                if (e >= lim) // includes kNever
-                    continue;
-                cores_[i]->beginCapture(&chargeLogs_[i], start);
-                aheadResults_[i] = cores_[i]->runAhead(e, lim);
-                aheadRan_[i] = 1;
-            }
-        });
-        for (std::size_t i = 0; i < n; ++i)
-            if (aheadRan_[i])
-                note(i, aheadResults_[i]);
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            const Cycle e = nextAt_[i];
-            if (e >= lim) // includes kNever
-                continue;
-            cores_[i]->beginCapture(&chargeLogs_[i], start);
-            note(i, cores_[i]->runAhead(e, lim));
-        }
+    // log — so running one core's slice ahead of another's cannot
+    // change what either observes.
+    for (std::size_t i = 0; i < n; ++i) {
+        const Cycle e = nextAt_[i];
+        if (e >= lim) // includes kNever
+            continue;
+        cores_[i]->beginCapture(&chargeLogs_[i], start);
+        note(i, cores_[i]->runAhead(e, lim));
     }
 
-    // Phase 2 (always serial): execute pending shared-memory ops in
-    // global (cycle, core index) order — the order in-order stepping
-    // would use — then let each core run ahead again until its next
-    // shared op.  Keys pushed while draining are always larger than
-    // the key popped, so the pop sequence stays globally sorted.  The
-    // resumed core's charges keep appending to its own log; the memory
-    // system's charges ride the chip ledger's capture into that same
-    // log.
+    // Phase 2: execute pending shared-memory ops in global (cycle,
+    // core index) order — the order in-order stepping would use — then
+    // let each core run ahead again until its next shared op.  Keys
+    // pushed while draining are always larger than the key popped, so
+    // the pop sequence stays globally sorted.  The resumed core's
+    // charges keep appending to its own log; the memory system's
+    // charges ride the chip ledger's capture into that same log.
     while (!pauseHeap_.empty()) {
         std::pop_heap(pauseHeap_.begin(), pauseHeap_.end(),
                       std::greater<>{});
@@ -362,101 +286,11 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
     // floating-point sums are bit-identical to the legacy path.  Each
     // core's log is already sorted by cycle; the walk visits the
     // distinct charge cycles (as offsets from `start`), skipping gaps.
-    //
-    // Sharded rounds split the replay: the category/total merge is one
-    // global FP chain and must stay a serial scan, while the per-tile
-    // sums — each of which depends only on its own core's log order —
-    // are summed by the other shards in parallel over the same
-    // read-only logs.  Serial and split replay perform the identical
-    // double additions in the identical order per accumulator.
-    //
-    // To shrink the serial residue, the gang first tree-merges the
-    // per-core logs into one contiguous (cycle, core)-ordered array:
-    // adjacent sorted runs merge pairwise per level, pairs distributed
-    // round-robin over the shards.  The merged content is a pure
-    // function of the logs — the shard assignment only decides who
-    // copies which pair — so it is bit-identical at any thread count.
-    // The global FP chain then degenerates from an interleaved
-    // 25-cursor walk (re-scanning every log per distinct cycle) to a
-    // linear pass over contiguous memory (replayMerged), and the merge
-    // itself — ~log2(tiles) copy passes — runs on all shards.
-    if (sharded) {
-        const unsigned shards = gang_->shards();
-        std::size_t total = 0;
-        for (const auto &log : chargeLogs_)
-            total += log.size();
-        mergeA_.resize(total);
-        mergeB_.resize(total);
-        // Level 1 merges adjacent per-core logs straight out of the
-        // logs; segment s covers cores 2s and 2s+1, so offsets are the
-        // prefix sums of the pair sizes.
-        std::size_t nseg = (n + 1) / 2;
-        mergeOff_.assign(nseg + 1, 0);
-        for (std::size_t s = 0; s < nseg; ++s) {
-            std::size_t len = chargeLogs_[2 * s].size();
-            if (2 * s + 1 < n)
-                len += chargeLogs_[2 * s + 1].size();
-            mergeOff_[s + 1] = mergeOff_[s] + len;
-        }
-        std::vector<power::CapturedCharge> *cur = &mergeA_;
-        std::vector<power::CapturedCharge> *nxt = &mergeB_;
-        gang_->run([&](unsigned shard) {
-            for (std::size_t s = shard; s < nseg; s += shards) {
-                const auto &a = chargeLogs_[2 * s];
-                const bool has_b = 2 * s + 1 < n;
-                mergeChargeRuns(
-                    a.data(), a.size(),
-                    has_b ? chargeLogs_[2 * s + 1].data() : nullptr,
-                    has_b ? chargeLogs_[2 * s + 1].size() : 0,
-                    cur->data() + mergeOff_[s]);
-            }
+    ledger_.replayCaptures(
+        chargeLogs_, logPos_,
+        [this](std::size_t i, const power::RailEnergy &e) {
+            tileEnergy_.add(i, e);
         });
-        while (nseg > 1) {
-            // Pair s of this level reads segments 2s/2s+1 and writes at
-            // the left segment's offset (merging neighbours preserves
-            // the prefix layout), so the next level's offsets are the
-            // even entries of this one plus the total sentinel.
-            const std::size_t half = (nseg + 1) / 2;
-            gang_->run([&](unsigned shard) {
-                for (std::size_t s = shard; s < half; s += shards) {
-                    const std::size_t lo = mergeOff_[2 * s];
-                    const std::size_t mid = mergeOff_[2 * s + 1];
-                    const bool has_b = 2 * s + 1 < nseg;
-                    const std::size_t hi =
-                        has_b ? mergeOff_[2 * s + 2] : mid;
-                    mergeChargeRuns(cur->data() + lo, mid - lo,
-                                    has_b ? cur->data() + mid : nullptr,
-                                    hi - mid, nxt->data() + lo);
-                }
-            });
-            mergeOffNext_.assign(half + 1, 0);
-            for (std::size_t s = 0; s < half; ++s)
-                mergeOffNext_[s] = mergeOff_[2 * s];
-            mergeOffNext_[half] = total;
-            mergeOff_.swap(mergeOffNext_);
-            std::swap(cur, nxt);
-            nseg = half;
-        }
-        gang_->run([&](unsigned shard) {
-            if (shard == 0) {
-                ledger_.replayMerged(*cur);
-                return;
-            }
-            const unsigned workers = shards - 1;
-            const std::size_t lo = n * (shard - 1) / workers;
-            const std::size_t hi = n * shard / workers;
-            for (std::size_t i = lo; i < hi; ++i)
-                for (const auto &cc : chargeLogs_[i])
-                    if (cc.cat & power::kCapturedCoreBit)
-                        tileEnergy_.add(i, cc.e);
-        });
-    } else {
-        ledger_.replayCaptures(
-            chargeLogs_, logPos_,
-            [this](std::size_t i, const power::RailEnergy &e) {
-                tileEnergy_.add(i, e);
-            });
-    }
     for (auto &log : chargeLogs_)
         log.clear();
     return maxLast;
@@ -649,9 +483,9 @@ PitonChip::serialize(ckpt::Archive &ar)
 
     // nextAt_ and the run-ahead scratch are rebuilt on every run()
     // entry; they carry no cross-run state.  Restoring into a chip
-    // that already ran sharded rounds must not inherit that run's
-    // scratch or counters either (engineThreads_ itself is a speed
-    // knob and deliberately survives, like fastPath_).
+    // that already ran rounds must not inherit that run's scratch or
+    // round counter either (fastPath_ is a speed knob and deliberately
+    // survives).
     if (ar.loading()) {
         runAheadRounds_ = 0;
         for (auto &log : chargeLogs_)

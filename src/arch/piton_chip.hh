@@ -12,7 +12,6 @@
 #ifndef PITON_ARCH_PITON_CHIP_HH
 #define PITON_ARCH_PITON_CHIP_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -24,7 +23,6 @@
 #include "arch/mem_system.hh"
 #include "arch/memory.hh"
 #include "chip/chip_instance.hh"
-#include "common/parallel.hh"
 #include "common/types.hh"
 #include "config/piton_params.hh"
 #include "power/energy_model.hh"
@@ -74,20 +72,7 @@ class PitonChip
     void setFastPath(bool enabled) { fastPath_ = enabled; }
     bool fastPath() const { return fastPath_; }
 
-    /**
-     * Shard the fast path's run-ahead rounds across `threads` worker
-     * threads (0 = all hardware threads; clamped to the tile count).
-     * Each shard owns a fixed contiguous tile range, so the partition —
-     * and every simulation result, including the ledger's FP sums — is
-     * bit-identical at any thread count (tests/test_fastpath_equiv.cc
-     * sweeps 1/2/8).  Purely a speed knob, like fastPath itself;
-     * ignored by the legacy engine and by traced runs.
-     */
-    void setEngineThreads(unsigned threads);
-    /** Resolved shard count the next round will use (>= 1). */
-    unsigned engineThreads() const { return engineThreads_; }
-
-    /** Run-ahead rounds executed by the sharded engine so far
+    /** Run-ahead rounds executed by the fast path so far
      *  (diagnostics; reset by resetEnergy and on restore). */
     std::uint64_t runAheadRounds() const { return runAheadRounds_; }
 
@@ -102,8 +87,8 @@ class PitonChip
 
     /**
      * Clear all accumulated energy accounting — the chip ledger, the
-     * per-tile SoA ledger, the round counter, and any per-shard round
-     * scratch — without touching architectural state.  Telemetry-style
+     * per-tile SoA ledger, the round counter, and the round scratch —
+     * without touching architectural state.  Telemetry-style
      * re-baselining; must be called between run() calls (captures are
      * never live then).
      */
@@ -160,8 +145,8 @@ class PitonChip
      * counters per tile (Core::noteBbv).  `buckets` must be a power of
      * two in [2, 2^20]; 0 disables and clears.  Counts are plain
      * integers bumped in retire order, so the histograms are identical
-     * under both engines and at any engineThreads — the property the
-     * sampling subsystem's slice selection rests on.  Enablement and
+     * under both engines — the property the sampling subsystem's slice
+     * selection rests on.  Enablement and
      * counts are checkpointed (the chip.bbv section, format v4), so a
      * restored chip keeps profiling without re-wiring.
      */
@@ -217,19 +202,6 @@ class PitonChip
      *  resident (25 cores x 64 cycles x ~2 charges x 40 B ~ 200 KB). */
     static constexpr Cycle kRoundCycles = 64;
 
-    /** Round length actually used: sharded rounds stretch with the
-     *  thread count to amortize the gang fork/join.  Round size never
-     *  affects results — rounds cover disjoint ascending cycle windows
-     *  and every charge replays in global (cycle, core) order either
-     *  way (DESIGN.md §12). */
-    Cycle
-    roundCycles() const
-    {
-        return engineThreads_ > 1
-                   ? kRoundCycles * std::min<Cycle>(engineThreads_ * 2, 16)
-                   : kRoundCycles;
-    }
-
     config::PitonParams params_;
     chip::ChipInstance instance_;
     const power::EnergyModel &energy_;
@@ -253,23 +225,8 @@ class PitonChip
     std::vector<std::vector<power::CapturedCharge>> chargeLogs_;
     std::vector<std::size_t> logPos_;
     std::vector<std::pair<Cycle, std::size_t>> pauseHeap_;
-    /** Sharded phase-3 merge scratch (persistent for capacity): the
-     *  ping/pong arrays of the parallel stable tree merge and the
-     *  per-level segment offsets (one entry per segment + sentinel). */
-    std::vector<power::CapturedCharge> mergeA_;
-    std::vector<power::CapturedCharge> mergeB_;
-    std::vector<std::size_t> mergeOff_;
-    std::vector<std::size_t> mergeOffNext_;
-    /** Sharded-engine state: resolved shard count, the resident gang
-     *  (created lazily at the first sharded round, sized to
-     *  engineThreads_), per-core phase-1 scratch, and the round
-     *  counter.  All of it is speed-only — never checkpointed; the
-     *  scratch is reset on restore. */
-    unsigned engineThreads_ = 1;
     std::uint32_t bbvBuckets_ = 0;
-    std::unique_ptr<WorkerGang> gang_;
-    std::vector<Core::AheadResult> aheadResults_;
-    std::vector<std::uint8_t> aheadRan_;
+    /** Diagnostics only: never checkpointed, reset on restore. */
     std::uint64_t runAheadRounds_ = 0;
 };
 

@@ -10,8 +10,8 @@
  * as deterministic window-granularity duty gating.  Policies therefore
  * never touch the simulator: they are pure functions of the observation
  * stream plus their own serialized controller state, which is what
- * keeps governed runs bit-identical at any engine thread count and
- * across checkpoint/resume.
+ * keeps governed runs bit-identical under either engine and across
+ * checkpoint/resume.
  *
  * Three policies ship behind the interface (plus "none"):
  *  - ondemand: per-tile utilization ladder — jump to fmax above the up

@@ -119,8 +119,8 @@ struct ScenarioResult
  * then detach.  The system must be freshly constructed (nothing loaded)
  * and may have a telemetry recorder attached — the run then emits the
  * full window schema plus the governor.* epoch series.  Deterministic:
- * same system options + scenario => bit-identical results at any
- * engine-thread count.
+ * same system options + scenario => bit-identical results under
+ * either engine.
  */
 ScenarioResult runScenario(sim::System &system, const Scenario &sc);
 

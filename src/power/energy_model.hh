@@ -294,8 +294,8 @@ static_assert(static_cast<std::size_t>(Category::NumCategories)
 
 /**
  * Per-tile energy accumulators in structure-of-arrays layout: one
- * densely packed double array per rail, indexed by tile.  The sharded
- * replay walks one tile's log at a time, touching three adjacent
+ * densely packed double array per rail, indexed by tile.  Replay adds
+ * each captured core charge to its tile's slot, touching three adjacent
  * scalars instead of a RailEnergy embedded in each Core (whose
  * neighbours in memory are the core's thread state — a cache line the
  * replay has no other use for).  Each slot accumulates exactly the
@@ -472,44 +472,6 @@ class EnergyLedger
             if (next_d == kNoDelta)
                 break;
             d = next_d;
-        }
-        total_ = tot;
-    }
-
-    /**
-     * The category/total half of replayCaptures only: the per-actor
-     * kCapturedCoreBit sums are left for the caller to apply from the
-     * same logs (the sharded engine computes them in parallel while
-     * this serial merge runs — each actor's accumulator depends only on
-     * its own log's order, so splitting the two walks preserves every
-     * FP add chain bit for bit; DESIGN.md §12).
-     */
-    template <typename Logs>
-    void
-    replayCategoryCaptures(const Logs &logs, std::vector<std::size_t> &pos)
-    {
-        replayCaptures(logs, pos,
-                       [](std::size_t, const RailEnergy &) {});
-    }
-
-    /**
-     * The category/total chain over a pre-merged charge array.  The
-     * sharded engine merges the per-actor logs into one contiguous
-     * (cycle, actor)-ordered array in parallel (a stable tree merge,
-     * PitonChip::runAheadRound phase 3), so the serial residue shrinks
-     * to this linear scan.  The walk performs the identical double
-     * additions in the identical order as replayCategoryCaptures over
-     * the unmerged logs — merging only changes *where* the entries
-     * live, never the (cycle, actor) visit order — so the sums stay
-     * bit-identical at every engine thread count.
-     */
-    void
-    replayMerged(const std::vector<CapturedCharge> &merged)
-    {
-        RailEnergy tot = total_; // register-resident chain
-        for (const CapturedCharge &cc : merged) {
-            byCat_[cc.cat & (kCapturedCoreBit - 1)] += cc.e;
-            tot += cc.e;
         }
         total_ = tot;
     }

@@ -219,8 +219,8 @@ runEnergy(const ExperimentRequest &req, const RunControl &ctl)
         return ExperimentResponse::failure(Status::DeadlineExpired,
                                            req.kind, "deadline expired");
     sampling::SampledOptions sopts;
+    // threads stays 1: the scheduler already runs requests in parallel.
     sopts.maxSlices = req.sampledSlices;
-    sopts.threads = req.engineThreads;
     const sampling::SampledEstimate est =
         sampling::runSampled(prof.intervals(), sys.options(), sopts);
     resp.energy.completed = 1;

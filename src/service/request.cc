@@ -84,7 +84,6 @@ ExperimentRequest::systemOptions() const
     opts.cyclesPerSample = std::max<std::uint64_t>(1, cyclesPerSample);
     opts.warmupCycles = warmupCycles;
     opts.fastPath = fastPath;
-    opts.engineThreads = engineThreads;
     if (!placement.empty()) {
         // PlacedRun: unplaced tiles hard-gate (<= 0), placed tiles run
         // their PLL step.  step_i * freqStepMhz round-trips through
@@ -126,10 +125,6 @@ ExperimentRequest::canonicalize()
         throw ServiceError("Phased is finite-only (energy kinds)");
 
     // Engine choice is a speed knob, not a result knob (DESIGN.md §9).
-    // engineThreads is a speed knob too (§12) but, unlike fastPath,
-    // has no universally-right value, so canonicalize preserves the
-    // client's choice for execution; canonicalBytes() strips it (like
-    // deadlineMs) so it never splits the result cache.
     fastPath = true;
 
     workload.cores = clampRange<std::uint32_t>(workload.cores, 1, 25);
@@ -256,7 +251,6 @@ ExperimentRequest::encode(WireWriter &w) const
     w.u64(cyclesPerSample);
     w.u64(warmupCycles);
     w.u8(fastPath ? 1 : 0);
-    w.u32(engineThreads); // wire v2
     w.u16(workload.bench);
     w.u32(workload.cores);
     w.u32(workload.threadsPerCore);
@@ -297,7 +291,6 @@ ExperimentRequest::decode(WireReader &r)
     req.cyclesPerSample = r.u64();
     req.warmupCycles = r.u64();
     req.fastPath = r.u8() != 0;
-    req.engineThreads = r.u32(); // wire v2
     req.workload.bench = r.u16();
     req.workload.cores = r.u32();
     req.workload.threadsPerCore = r.u32();
@@ -342,9 +335,7 @@ ExperimentRequest::canonicalBytes() const
 {
     ExperimentRequest canon = *this;
     canon.canonicalize();
-    canon.deadlineMs = 0;     // QoS, not identity
-    canon.engineThreads = 1;  // speed, not identity (bit-identical
-                              // results at any thread count, §12)
+    canon.deadlineMs = 0; // QoS, not identity
     WireWriter w;
     canon.encode(w);
     return w.take();

@@ -19,11 +19,7 @@
  *    bit-identical by contract (DESIGN.md §9, enforced by the equiv
  *    suite), so engine choice selects a speed, not a result;
  *  - `deadlineMs` is excluded entirely — a deadline is delivery QoS,
- *    not part of what the result *is*;
- *  - `engineThreads` is likewise excluded from the identity (results
- *    are bit-identical at any thread count, DESIGN.md §12), but unlike
- *    fastPath it is preserved through canonicalize() so the executor
- *    honours the client's requested parallelism.
+ *    not part of what the result *is*.
  *
  * The cache key additionally folds in the wire version and the result
  * format version (response.hh), so bumping either invalidates every
@@ -118,10 +114,6 @@ struct ExperimentRequest
     std::uint64_t cyclesPerSample = 2000;
     std::uint64_t warmupCycles = 30000;
     bool fastPath = true;
-    /** Sharded-engine worker threads (SystemOptions::engineThreads;
-     *  0 = all hardware threads).  A speed knob like fastPath —
-     *  canonicalized away, so it never splits the result cache. */
-    std::uint32_t engineThreads = 1;
 
     WorkloadSpec workload;
 

@@ -49,15 +49,18 @@ class ServiceError : public std::runtime_error
 };
 
 /** Bumped on any frame-layout or body-encoding change.
- *  v2: ExperimentRequest grew engineThreads (u32, after fastPath).
+ *  v2: ExperimentRequest grew an engine-thread count (u32, after
+ *      fastPath).
  *  v3: fleet-aware — Hello/HelloAck worker handshake, VersionError
  *      typed mismatch frames, StatsReply carries WorkerStats (worker
  *      id + threads ahead of the metrics).
  *  v4: search-aware — ExperimentRequest grew Kind::PlacedRun with
  *      placement + tileFreqSteps vectors and the sampled-run opt-in
  *      (sampledSlices, sampledIntervalInsns); EnergyResult grew the
- *      sampled-estimate section (result format v2). */
-inline constexpr std::uint16_t kWireVersion = 4;
+ *      sampled-estimate section (result format v2).
+ *  v5: ExperimentRequest dropped the v2 engine-thread count (the
+ *      sharded run-ahead engine it selected was removed). */
+inline constexpr std::uint16_t kWireVersion = 5;
 
 /**
  * Thrown when the peer speaks a different wire version.  Typed (rather

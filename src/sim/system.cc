@@ -52,7 +52,6 @@ System::System(SystemOptions opts)
     chip_ = std::make_unique<arch::PitonChip>(opts_.cfg.piton, instance_,
                                               energy_, opts_.seed);
     chip_->setFastPath(opts_.fastPath);
-    chip_->setEngineThreads(opts_.engineThreads);
     if (opts_.bbvBuckets != 0)
         chip_->enableBbv(opts_.bbvBuckets);
     board_.setSupply(power::Rail::Vdd, opts_.vddV);
@@ -688,10 +687,9 @@ System::serializeSystem(ckpt::Archive &ar)
 {
     // Identity fingerprint: a checkpoint only restores into a System
     // built with the same operating point and sampling cadence (the
-    // chip adds its own structural fingerprint).  fastPath and
-    // engineThreads are deliberately absent — every engine/thread-count
-    // combination is bit-identical, so a checkpoint taken under one may
-    // resume under any other.
+    // chip adds its own structural fingerprint).  fastPath is
+    // deliberately absent — both engines are bit-identical, so a
+    // checkpoint taken under one may resume under the other.
     ar.beginSection("sys.meta");
     ar.ioExpect(static_cast<std::int64_t>(opts_.chipId), "chip id");
     ar.ioExpect(opts_.seed, "seed");

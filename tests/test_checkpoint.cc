@@ -442,58 +442,44 @@ TEST(CheckpointMalformed, RecorderRicherThanImageThrows)
     EXPECT_THROW(sys.restoreBytes(bytes), ckpt::CheckpointError);
 }
 
-// ---- sharded-engine state: round trip, corruption, reset -------------
+// ---- run-ahead round state: restore, corruption, reset ---------------
 
-sim::SystemOptions
-shardedOpts(unsigned engine_threads)
-{
-    sim::SystemOptions opts;
-    opts.fastPath = true;
-    opts.engineThreads = engine_threads;
-    return opts;
-}
-
-/** A checkpoint saved from a sharded (8-thread) run must restore at
- *  any thread count — including into a *used* chip whose shard
- *  accounting (per-tile SoA ledgers, capture logs, round counters) is
- *  stale from a different workload — and resume bit-identically to the
- *  uninterrupted single-threaded run. */
-TEST(CheckpointSharded, ThreadedSaveRestoresAtAnyThreadCount)
+/** A checkpoint must restore into a *used* chip whose round accounting
+ *  (per-tile SoA ledgers, capture logs, round counter) is stale from a
+ *  different workload, reset the round counter, and resume
+ *  bit-identically to the uninterrupted run. */
+TEST(CheckpointRunAhead, RestoreIntoUsedChipResetsRoundCounter)
 {
     const auto straight = runStraight(workloads::Microbench::Int, true);
-    for (const unsigned resume_threads : {1u, 8u}) {
-        SystemFingerprint fp;
-        std::vector<std::uint8_t> bytes;
-        {
-            sim::System sys(shardedOpts(8));
-            const auto programs = workloads::loadMicrobench(
-                sys, workloads::Microbench::Int, 25, 2, 0);
-            telemetry::TelemetryRecorder rec;
-            sys.attachTelemetry(&rec);
-            recordWindows(sys, kPrefixWindows, fp);
-            bytes = sys.saveBytes();
-        }
-        sim::System resumed(shardedOpts(resume_threads));
-        const auto decoy = workloads::loadMicrobench(
-            resumed, workloads::Microbench::Hist, 25, 2, 0);
-        resumed.pitonChip().run(10000); // dirty the shard state
-        if (resume_threads > 1)
-            EXPECT_GT(resumed.pitonChip().runAheadRounds(), 0u);
+    SystemFingerprint fp;
+    std::vector<std::uint8_t> bytes;
+    {
+        sim::System sys(optsFor(true));
+        const auto programs = workloads::loadMicrobench(
+            sys, workloads::Microbench::Int, 25, 2, 0);
         telemetry::TelemetryRecorder rec;
-        resumed.attachTelemetry(&rec);
-        resumed.restoreBytes(bytes);
-        EXPECT_EQ(resumed.pitonChip().runAheadRounds(), 0u);
-        recordWindows(resumed, kSuffixWindows, fp);
-        finishFingerprint(resumed, rec, fp);
-        EXPECT_TRUE(fp == straight)
-            << "resume threads=" << resume_threads;
+        sys.attachTelemetry(&rec);
+        recordWindows(sys, kPrefixWindows, fp);
+        bytes = sys.saveBytes();
     }
+    sim::System resumed(optsFor(true));
+    const auto decoy = workloads::loadMicrobench(
+        resumed, workloads::Microbench::Hist, 25, 2, 0);
+    resumed.pitonChip().run(10000); // dirty the round state
+    EXPECT_GT(resumed.pitonChip().runAheadRounds(), 0u);
+    telemetry::TelemetryRecorder rec;
+    resumed.attachTelemetry(&rec);
+    resumed.restoreBytes(bytes);
+    EXPECT_EQ(resumed.pitonChip().runAheadRounds(), 0u);
+    recordWindows(resumed, kSuffixWindows, fp);
+    finishFingerprint(resumed, rec, fp);
+    EXPECT_TRUE(fp == straight);
 }
 
 /** The chip.tile_energy section (format v2) is CRC-protected like any
  *  other: a flipped bit inside it must throw, never silently skew the
  *  per-tile accumulators. */
-TEST(CheckpointSharded, TileEnergySectionCorruptionThrows)
+TEST(CheckpointRunAhead, TileEnergySectionCorruptionThrows)
 {
     auto bytes = smallImage();
     static const char kName[] = "chip.tile_energy";
@@ -508,15 +494,14 @@ TEST(CheckpointSharded, TileEnergySectionCorruptionThrows)
     EXPECT_THROW(sys.restoreBytes(bytes), ckpt::CheckpointError);
 }
 
-/** resetEnergy() must clear every piece of sharded accounting: the
+/** resetEnergy() must clear every piece of round accounting: the
  *  global ledger, the per-tile SoA ledger, and the round counter. */
-TEST(CheckpointSharded, ResetEnergyClearsShardState)
+TEST(CheckpointRunAhead, ResetEnergyClearsRoundState)
 {
     const isa::Program p = chipTestProgram();
     config::PitonParams params;
     power::EnergyModel energy;
     arch::PitonChip chip(params, chip::makeChip(2), energy, 17);
-    chip.setEngineThreads(8);
     for (TileId tile = 0; tile < 4; ++tile)
         chip.loadProgram(tile, 0, &p);
     chip.run(20000);

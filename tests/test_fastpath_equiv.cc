@@ -112,11 +112,10 @@ expectEqualFingerprints(const RunFingerprint &fast,
 /** Run one microbenchmark on a full 25-core system. */
 RunFingerprint
 runMicrobench(workloads::Microbench m, bool fast_path, bool drafting,
-              Cycle cycles, unsigned engine_threads = 1)
+              Cycle cycles)
 {
     sim::SystemOptions opts;
     opts.fastPath = fast_path;
-    opts.engineThreads = engine_threads;
     sim::System sys(opts);
     if (drafting)
         sys.pitonChip().setExecDrafting(true);
@@ -125,11 +124,9 @@ runMicrobench(workloads::Microbench m, bool fast_path, bool drafting,
     return fingerprint(sys.pitonChip(), r);
 }
 
-/** (microbench, drafting, engineThreads): every workload/drafting
- *  combination runs the sharded engine at 1, 2, and 8 threads against
- *  the legacy baseline, so thread-count invariance of the charge
- *  replay is asserted bit for bit (DESIGN.md §12). */
-using EquivParam = std::tuple<workloads::Microbench, bool, unsigned>;
+/** (microbench, drafting): every workload/drafting combination runs
+ *  the fast path against the legacy baseline, bit for bit. */
+using EquivParam = std::tuple<workloads::Microbench, bool>;
 
 class FastPathEquivalence : public ::testing::TestWithParam<EquivParam>
 {
@@ -137,18 +134,19 @@ class FastPathEquivalence : public ::testing::TestWithParam<EquivParam>
 
 TEST_P(FastPathEquivalence, MicrobenchIsBitIdentical)
 {
-    const auto [bench, drafting, threads] = GetParam();
-    const auto fast = runMicrobench(bench, true, drafting, 30000, threads);
+    const auto [bench, drafting] = GetParam();
+    const auto fast = runMicrobench(bench, true, drafting, 30000);
     const auto legacy = runMicrobench(bench, false, drafting, 30000);
     expectEqualFingerprints(fast, legacy);
 }
 
+/** Instance names end in "T1" (the engine runs on one thread); keep
+ *  the suffix so the test ids stay stable. */
 std::string
 equivParamName(const ::testing::TestParamInfo<EquivParam> &info)
 {
     return std::string(workloads::microbenchName(std::get<0>(info.param)))
-           + (std::get<1>(info.param) ? "ExecD" : "") + "T"
-           + std::to_string(std::get<2>(info.param));
+           + (std::get<1>(info.param) ? "ExecD" : "") + "T1";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -156,8 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(workloads::Microbench::Int,
                                          workloads::Microbench::HP,
                                          workloads::Microbench::Hist),
-                       ::testing::Bool(),
-                       ::testing::Values(1u, 2u, 8u)),
+                       ::testing::Bool()),
     equivParamName);
 
 /** Store-buffer pressure: back-to-back stores overflow the 8-entry
@@ -192,10 +189,9 @@ TEST(FastPathEquivalenceStress, StoreBufferPressureIsBitIdentical)
         halt
     )");
 
-    auto run = [&](bool fast_path, unsigned engine_threads) {
+    auto run = [&](bool fast_path) {
         sim::SystemOptions opts;
         opts.fastPath = fast_path;
-        opts.engineThreads = engine_threads;
         sim::System sys(opts);
         for (TileId tile = 0; tile < 25; ++tile) {
             sys.loadProgram(tile, 0, &pressure);
@@ -204,22 +200,19 @@ TEST(FastPathEquivalenceStress, StoreBufferPressureIsBitIdentical)
         const auto r = sys.pitonChip().run(200000);
         return fingerprint(sys.pitonChip(), r);
     };
-    const auto legacy = run(false, 1);
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        const auto fast = run(true, threads);
-        EXPECT_TRUE(fast.allHalted) << "threads=" << threads;
-        expectEqualFingerprints(fast, legacy);
-    }
+    const auto legacy = run(false);
+    const auto fast = run(true);
+    EXPECT_TRUE(fast.allHalted);
+    expectEqualFingerprints(fast, legacy);
 }
 
 /** The telemetry pipeline samples ledger deltas per window; feeding it
  *  from both paths must produce byte-identical CSV exports. */
 TEST(FastPathEquivalenceStress, TelemetryCsvIsByteIdentical)
 {
-    auto csv = [](bool fast_path, unsigned engine_threads = 1) {
+    auto csv = [](bool fast_path) {
         sim::SystemOptions opts;
         opts.fastPath = fast_path;
-        opts.engineThreads = engine_threads;
         sim::System sys(opts);
         telemetry::TelemetryRecorder rec;
         sys.attachTelemetry(&rec);
@@ -235,20 +228,17 @@ TEST(FastPathEquivalenceStress, TelemetryCsvIsByteIdentical)
     const std::string legacy = csv(false);
     ASSERT_FALSE(fast.empty());
     EXPECT_EQ(fast, legacy);
-    // The per-tile series flow through the SoA ledger's sharded sums;
-    // an 8-way run must still export the identical bytes.
-    EXPECT_EQ(csv(true, 8), legacy);
 }
 
 /**
  * Closed-loop governed runs (DESIGN.md §13) carry extra serial state —
  * epoch accumulators, duty-gate tables, controller internals — all of
- * which must stay bit-identical across the legacy path and the sharded
- * engine at any thread count.  Each policy runs the same phased
- * scenario (cap retune + workload swap mid-run, so actuation and gating
- * actually fire) and the whole observable surface is compared: chip
- * fingerprint, scenario aggregates as raw bits, and a byte-for-byte
- * telemetry CSV including the governor.* epoch series.
+ * which must stay bit-identical across the legacy and fast paths.
+ * Each policy runs the same phased scenario (cap retune + workload swap
+ * mid-run, so actuation and gating actually fire) and the whole
+ * observable surface is compared: chip fingerprint, scenario aggregates
+ * as raw bits, and a byte-for-byte telemetry CSV including the
+ * governor.* epoch series.
  */
 class GovernedEquivalence
     : public ::testing::TestWithParam<const char *>
@@ -262,7 +252,7 @@ class GovernedEquivalence
     };
 
     GovernedRun
-    run(bool fast_path, unsigned engine_threads) const
+    run(bool fast_path) const
     {
         governor::Scenario sc = governor::Scenario::fromText(R"(
 name             = equiv
@@ -281,7 +271,6 @@ phase1.workload  = int
 
         sim::SystemOptions opts;
         opts.fastPath = fast_path;
-        opts.engineThreads = engine_threads;
         sim::System sys(opts);
         telemetry::TelemetryRecorder rec;
         sys.attachTelemetry(&rec);
@@ -314,16 +303,13 @@ phase1.workload  = int
 
 TEST_P(GovernedEquivalence, BitIdenticalAcrossEnginesAndThreads)
 {
-    const GovernedRun legacy = run(false, 1);
+    const GovernedRun legacy = run(false);
     ASSERT_FALSE(legacy.csv.empty());
     EXPECT_GT(legacy.fp.totalInsts, 0u);
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        const GovernedRun fast = run(true, threads);
-        expectEqualFingerprints(fast.fp, legacy.fp);
-        EXPECT_EQ(fast.resultBits, legacy.resultBits)
-            << "threads=" << threads;
-        EXPECT_EQ(fast.csv, legacy.csv) << "threads=" << threads;
-    }
+    const GovernedRun fast = run(true);
+    expectEqualFingerprints(fast.fp, legacy.fp);
+    EXPECT_EQ(fast.resultBits, legacy.resultBits);
+    EXPECT_EQ(fast.csv, legacy.csv);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, GovernedEquivalence,
@@ -333,24 +319,16 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, GovernedEquivalence,
                              return std::string(info.param);
                          });
 
-/** The sharded engine must actually shard: a multithreaded run on the
- *  all-cores-active workload executes run-ahead rounds (otherwise the
- *  thread-sweep tests above would be vacuous) and resolves the
- *  requested thread count. */
-TEST(FastPathEquivalenceStress, ShardedRoundsActuallyRun)
+/** The default engine must actually run rounds on the all-cores-active
+ *  workload; otherwise the equivalence tests above would never
+ *  exercise the run-ahead round's capture and replay. */
+TEST(FastPathEquivalenceStress, RunAheadRoundsActuallyRun)
 {
-    sim::SystemOptions opts;
-    opts.engineThreads = 8;
-    sim::System sys(opts);
-    EXPECT_EQ(sys.pitonChip().engineThreads(), 8u);
+    sim::System sys{sim::SystemOptions{}};
     const auto programs = workloads::loadMicrobench(
         sys, workloads::Microbench::Int, 25, 2, 0);
     sys.pitonChip().run(30000);
     EXPECT_GT(sys.pitonChip().runAheadRounds(), 0u);
-    // 0 = all hardware threads, clamped to the tile count.
-    sys.pitonChip().setEngineThreads(0);
-    EXPECT_GE(sys.pitonChip().engineThreads(), 1u);
-    EXPECT_LE(sys.pitonChip().engineThreads(), 25u);
 }
 
 } // namespace

@@ -5,11 +5,11 @@
  * The sampling pipeline's promise is that everything it derives —
  * interval records, BBV features, slice selection, replayed slice
  * energies, and the stitched estimate — is *bit-identical* under the
- * fast and legacy engines, at any --engine-threads, at any replay
- * thread count, and across a checkpoint save/resume of the profiling
- * run itself.  These tests profile the same phased workload under
- * every such configuration and compare the results field by field
- * (doubles as raw bits; no tolerances, by design).
+ * fast and legacy engines, at any replay thread count, and across a
+ * checkpoint save/resume of the profiling run itself.  These tests
+ * profile the same phased workload under every such configuration and
+ * compare the results field by field (doubles as raw bits; no
+ * tolerances, by design).
  */
 
 #include <cstdint>
@@ -42,12 +42,11 @@ bitsOf(double d)
 }
 
 sim::SystemOptions
-samplingOptions(bool fast_path, unsigned engine_threads)
+samplingOptions(bool fast_path)
 {
     sim::SystemOptions opts;
     opts.bbvBuckets = 64;
     opts.fastPath = fast_path;
-    opts.engineThreads = engine_threads;
     return opts;
 }
 
@@ -115,31 +114,25 @@ TEST(SamplingEquiv, ProfileAndSliceSelectionAreEngineInvariant)
         workloads::makePhasedEnergyProgram(kReps);
     // Images differ across configurations (they record the engine
     // fingerprint), so compare image-free profiles.
-    const auto legacy = profileUnder(samplingOptions(false, 1), kernel,
+    const auto legacy = profileUnder(samplingOptions(false), kernel,
                                      /*capture_images=*/false);
-    const ProfileFingerprint ref = fingerprint(legacy);
     ASSERT_GE(legacy.size(), 3u);
 
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        const auto fast = profileUnder(samplingOptions(true, threads),
-                                       kernel, /*capture_images=*/false);
-        EXPECT_EQ(fingerprint(fast), ref)
-            << "profile diverged at engineThreads=" << threads;
-        const sampling::ClusterResult a =
-            sampling::selectSlices(legacy, {});
-        const sampling::ClusterResult b =
-            sampling::selectSlices(fast, {});
-        EXPECT_EQ(a.assignment, b.assignment);
-        EXPECT_EQ(a.representative, b.representative);
-        EXPECT_EQ(a.weightSum, b.weightSum);
-    }
+    const auto fast = profileUnder(samplingOptions(true), kernel,
+                                   /*capture_images=*/false);
+    EXPECT_EQ(fingerprint(fast), fingerprint(legacy));
+    const sampling::ClusterResult a = sampling::selectSlices(legacy, {});
+    const sampling::ClusterResult b = sampling::selectSlices(fast, {});
+    EXPECT_EQ(a.assignment, b.assignment);
+    EXPECT_EQ(a.representative, b.representative);
+    EXPECT_EQ(a.weightSum, b.weightSum);
 }
 
 TEST(SamplingEquiv, StitchedEstimateIsReplayThreadInvariant)
 {
     const isa::Program kernel =
         workloads::makePhasedEnergyProgram(kReps);
-    const sim::SystemOptions opts = samplingOptions(true, 1);
+    const sim::SystemOptions opts = samplingOptions(true);
     const auto intervals = profileUnder(opts, kernel);
 
     sampling::SampledOptions s1;
@@ -168,7 +161,7 @@ TEST(SamplingEquiv, SliceReplaysBitwiseReproduceProfiledIntervals)
 {
     const isa::Program kernel =
         workloads::makePhasedEnergyProgram(kReps);
-    const sim::SystemOptions opts = samplingOptions(true, 2);
+    const sim::SystemOptions opts = samplingOptions(true);
     sim::System sys(opts);
     loadPhased(sys, kernel);
     sampling::ProfilerOptions popts;
@@ -193,7 +186,7 @@ TEST(SamplingEquiv, CheckpointedProfileResumesBitIdentically)
 {
     const isa::Program kernel =
         workloads::makePhasedEnergyProgram(kReps);
-    const sim::SystemOptions opts = samplingOptions(true, 1);
+    const sim::SystemOptions opts = samplingOptions(true);
     sampling::ProfilerOptions popts;
     popts.intervalInsns = kIntervalInsns;
 
@@ -244,7 +237,7 @@ TEST(SamplingEquiv, RestoringAPlainImageRebaselinesTheProfiler)
 {
     const isa::Program kernel =
         workloads::makePhasedEnergyProgram(kReps);
-    const sim::SystemOptions opts = samplingOptions(true, 1);
+    const sim::SystemOptions opts = samplingOptions(true);
 
     constexpr Cycle kPrefixCycles = 20'000;
 

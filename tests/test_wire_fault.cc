@@ -172,15 +172,20 @@ TEST(WireFault, OversizedLengthPrefixIsRejectedBeforeBuffering)
 
 TEST(WireFault, VersionSkewThrowsTypedErrorWithRequestId)
 {
-    const std::vector<std::uint8_t> bytes = smallRequestFrameBytes(2);
-    FrameParser parser;
-    try {
-        parseAll(parser, bytes);
-        FAIL() << "v2 frame accepted by a v3 parser";
-    } catch (const VersionMismatchError &e) {
-        EXPECT_EQ(e.got(), 2u);
-        EXPECT_EQ(e.want(), kWireVersion);
-        EXPECT_EQ(e.requestId(), 7u);
+    // v2, and the previous version (the last one whose requests
+    // carried an engine-thread count).
+    for (const std::uint16_t old : {std::uint16_t{2},
+                                    std::uint16_t(kWireVersion - 1)}) {
+        const std::vector<std::uint8_t> bytes = smallRequestFrameBytes(old);
+        FrameParser parser;
+        try {
+            parseAll(parser, bytes);
+            ADD_FAILURE() << "v" << old << " frame accepted";
+        } catch (const VersionMismatchError &e) {
+            EXPECT_EQ(e.got(), old);
+            EXPECT_EQ(e.want(), kWireVersion);
+            EXPECT_EQ(e.requestId(), 7u);
+        }
     }
 }
 
@@ -345,16 +350,20 @@ class FakeServer
 
 TEST(WireFault, ClientThrowsTypedOnV2StampedReply)
 {
-    // An old (v2) server replying with its own framing: the client
-    // must diagnose version skew, not report a CRC or magic failure.
-    FakeServer fake(encodeFrame(pingFrame(1), 2));
-    TcpClient client(fake.port());
-    try {
-        client.ping();
-        FAIL() << "v2-stamped reply accepted";
-    } catch (const VersionMismatchError &e) {
-        EXPECT_EQ(e.got(), 2u);
-        EXPECT_EQ(e.want(), kWireVersion);
+    // An old (v2, or the previous version) server replying with its own
+    // framing: the client must diagnose version skew, not report a CRC
+    // or magic failure.
+    for (const std::uint16_t old : {std::uint16_t{2},
+                                    std::uint16_t(kWireVersion - 1)}) {
+        FakeServer fake(encodeFrame(pingFrame(1), old));
+        TcpClient client(fake.port());
+        try {
+            client.ping();
+            ADD_FAILURE() << "v" << old << "-stamped reply accepted";
+        } catch (const VersionMismatchError &e) {
+            EXPECT_EQ(e.got(), old);
+            EXPECT_EQ(e.want(), kWireVersion);
+        }
     }
 }
 
@@ -363,7 +372,7 @@ TEST(WireFault, ClientThrowsTypedOnVersionErrorFrame)
     // A v3 server telling a (posing-as-v2) peer to go away: the
     // VersionError payload wins over the header version.
     VersionInfo info;
-    info.serverVersion = 5; // hypothetical future server
+    info.serverVersion = kWireVersion + 1; // hypothetical future server
     info.clientVersion = kWireVersion;
     info.message = "upgrade required";
     Frame frame;
@@ -376,7 +385,7 @@ TEST(WireFault, ClientThrowsTypedOnVersionErrorFrame)
         client.ping();
         FAIL() << "VersionError frame did not throw";
     } catch (const VersionMismatchError &e) {
-        EXPECT_EQ(e.got(), 5u);
+        EXPECT_EQ(e.got(), kWireVersion + 1);
         EXPECT_EQ(e.want(), kWireVersion);
     }
 }
