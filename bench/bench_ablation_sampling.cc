@@ -94,12 +94,10 @@ main(int argc, char **argv)
     const std::uint64_t reps = args.samples; // outer phase repetitions
     const bool sampled_only = args.hasFlag("--sampled");
     const bool verify = args.hasFlag("--verify");
-    const std::uint64_t interval_insns = static_cast<std::uint64_t>(
-        std::strtoull(args.optionValue("--interval-insns", "100000").c_str(),
-                      nullptr, 10));
-    const std::uint32_t max_slices = static_cast<std::uint32_t>(
-        std::strtoul(args.optionValue("--max-slices", "8").c_str(), nullptr,
-                     10));
+    const std::uint64_t interval_insns =
+        args.number("--interval-insns", 100000, 1, UINT64_MAX);
+    const auto max_slices = static_cast<std::uint32_t>(
+        args.number("--max-slices", 8, 0, cli::kMaxCount));
 
     sim::SystemOptions opts;
     opts.bbvBuckets = 128;

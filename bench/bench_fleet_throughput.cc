@@ -38,7 +38,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -156,19 +155,14 @@ main(int argc, char **argv)
         0,
         {"--points", "--fleet-workers", "--concurrency",
          "--require-scaling"});
-    const std::size_t points = static_cast<std::size_t>(
-        std::strtoul(args.optionValue("--points", "64").c_str(), nullptr,
-                     10));
-    const std::size_t fleet_workers = std::max<std::size_t>(
-        1, std::strtoul(
-               args.optionValue("--fleet-workers", "2").c_str(),
-               nullptr, 10));
-    const unsigned concurrency = static_cast<unsigned>(std::max(
-        1ul,
-        std::strtoul(args.optionValue("--concurrency", "4").c_str(),
-                     nullptr, 10)));
-    const double require_scaling = std::strtod(
-        args.optionValue("--require-scaling", "0").c_str(), nullptr);
+    const auto points = static_cast<std::size_t>(
+        args.number("--points", 64, 0, cli::kMaxCount));
+    const auto fleet_workers = static_cast<std::size_t>(
+        std::max<std::uint64_t>(
+            1, args.number("--fleet-workers", 2, 0, cli::kMaxCount)));
+    const auto concurrency = static_cast<unsigned>(std::max<std::uint64_t>(
+        1, args.number("--concurrency", 4, 0, cli::kMaxCount)));
+    const double require_scaling = args.real("--require-scaling", 0.0);
     const bool verify = args.hasFlag("--verify");
 
     bench::banner("FLEET", "distributed fleet saturation");

@@ -39,7 +39,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -115,13 +114,10 @@ main(int argc, char **argv)
     const bool verify = args.hasFlag("--verify");
     const bool sampled = args.hasFlag("--sampled");
     const auto budget = static_cast<std::uint32_t>(
-        std::strtoul(args.optionValue("--budget", "24").c_str(), nullptr,
-                     10));
+        args.number("--budget", 24, 1, cli::kMaxCount));
     const auto cores = static_cast<std::uint32_t>(
-        std::strtoul(args.optionValue("--cores", "3").c_str(), nullptr,
-                     10));
-    const auto seed = static_cast<std::uint64_t>(
-        std::strtoul(args.optionValue("--seed", "1").c_str(), nullptr, 10));
+        args.number("--cores", 3, 0, cli::kMaxCount));
+    const std::uint64_t seed = args.number("--seed", 1, 0, UINT64_MAX);
 
     bench::banner("SEARCH", "placement/DVFS search vs random baseline");
 

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -91,9 +90,8 @@ main(int argc, char **argv)
     const bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, /*def_samples=*/8, /*def_threads=*/2,
         {"--verify", "--tcp"}, 0, {"--requests"});
-    const std::size_t n_requests = static_cast<std::size_t>(
-        std::strtoul(args.optionValue("--requests", "32").c_str(),
-                     nullptr, 10));
+    const auto n_requests = static_cast<std::size_t>(
+        args.number("--requests", 32, 0, cli::kMaxCount));
     const bool verify = args.hasFlag("--verify");
 
     bench::banner("SERVICE", "experiment service throughput");

@@ -1,22 +1,21 @@
 /**
  * @file
  * Shared helpers for the reproduction benches: banner printing and the
- * one common command-line parser.  Every bench that takes arguments
- * goes through parseBenchArgs so the flag set, defaults, and the
- * hard-error behaviour on unknown flags are identical across binaries.
+ * common bench flag set.  Every bench that takes arguments goes through
+ * parseBenchArgs, a thin layer over the strict parser in
+ * src/common/cli, so the flag set, defaults, and the hard-error
+ * behaviour on unknown flags are identical across binaries.
  */
 
 #ifndef PITON_BENCH_BENCH_UTIL_HH
 #define PITON_BENCH_BENCH_UTIL_HH
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <initializer_list>
 #include <string>
 #include <utility>
-#include <vector>
+
+#include "common/cli.hh"
 
 namespace piton::bench
 {
@@ -32,9 +31,13 @@ banner(const char *id, const char *title)
     std::printf("==============================================================\n\n");
 }
 
-/** Parsed common bench arguments (see parseBenchArgs). */
-struct BenchArgs
+/** Parsed common bench arguments (see parseBenchArgs).  The caller's
+ *  extra flags and options are read through the cli::Args accessors
+ *  (hasFlag, number, real, ...). */
+struct BenchArgs : cli::Args
 {
+    explicit BenchArgs(cli::Args parsed) : cli::Args(std::move(parsed)) {}
+
     /** Monitor samples per measurement (the paper records 128). */
     std::uint32_t samples = 128;
     /** Sweep-level worker threads (0 = all hardware threads).
@@ -56,67 +59,7 @@ struct BenchArgs
     /** Scenario kv-file (--scenario; empty = the bench's built-in
      *  scenario).  See src/governor/scenario.hh for the schema. */
     std::string scenario;
-    /** Extra boolean flags seen (from the caller's allow-list). */
-    std::vector<std::string> flags;
-    /** Extra valued options seen (from the caller's allow-list).  At
-     *  most one entry per name: a repeated flag is a parse-time hard
-     *  error, never a silent last-one-wins. */
-    std::vector<std::pair<std::string, std::string>> options;
-    /** Positional arguments, in order. */
-    std::vector<std::string> positionals;
-
-    bool
-    hasFlag(const char *f) const
-    {
-        for (const auto &s : flags)
-            if (s == f)
-                return true;
-        return false;
-    }
-
-    std::string
-    optionValue(const char *name, std::string def = {}) const
-    {
-        for (auto it = options.rbegin(); it != options.rend(); ++it)
-            if (it->first == name)
-                return it->second;
-        return def;
-    }
 };
-
-namespace detail
-{
-
-[[noreturn]] inline void
-usageError(const char *prog, const char *msg, const char *arg)
-{
-    std::fprintf(stderr, "%s: %s%s%s\n", prog, msg, arg ? ": " : "",
-                 arg ? arg : "");
-    std::fprintf(stderr,
-                 "usage: %s [--samples N] [--threads N]"
-                 " [--out DIR]"
-                 " [--checkpoint-every N] [--checkpoint-out FILE]"
-                 " [--resume-from FILE] [--governor POLICY]"
-                 " [--scenario FILE] [extra flags] [positionals]\n",
-                 prog);
-    std::exit(2);
-}
-
-inline long
-numericValue(const char *prog, const char *flag, const char *value)
-{
-    if (value == nullptr)
-        usageError(prog, "missing value for", flag);
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < 0 || errno == ERANGE
-        || v > 0x7fffffffL) // fits the uint32_t/unsigned fields
-        usageError(prog, "bad numeric value for", flag);
-    return v;
-}
-
-} // namespace detail
 
 /**
  * Parse the common bench flags:
@@ -124,15 +67,14 @@ numericValue(const char *prog, const char *flag, const char *value)
  *   --threads N         sweep worker threads (0 = all hardware threads)
  *   --out DIR           telemetry export directory (benches that record
  *                       telemetry write <dir>/<bench>.{csv,jsonl})
+ *   --checkpoint-every N, --checkpoint-out FILE, --resume-from FILE,
+ *   --governor POLICY, --scenario FILE
  * plus any caller-allowed boolean `extra_flags` (e.g. "--full"),
  * caller-allowed valued `extra_opts` (e.g. "--port", consuming the
- * next argument), and up to `max_positionals` positional arguments.
- * Anything else — an unknown flag, a repeated flag, a flag missing
- * its value, a non-numeric count, or an excess positional — is a hard
- * error: usage goes to stderr and the process exits with status 2.
- * Rejecting duplicates matters for reproducibility: a stale flag left
- * in a wrapper script must fail loudly, not silently lose to (or
- * override) the one appended later.
+ * next argument), and up to `max_positionals` positional arguments,
+ * with the strict cli::parse contract: anything else exits 2 with
+ * usage.  Mutually exclusive or dependent flag combinations are hard
+ * errors here too, so every binary rejects them identically.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv, std::uint32_t def_samples = 128,
@@ -141,99 +83,48 @@ parseBenchArgs(int argc, char **argv, std::uint32_t def_samples = 128,
                std::size_t max_positionals = 0,
                std::initializer_list<const char *> extra_opts = {})
 {
-    BenchArgs args;
-    args.samples = def_samples;
-    args.threads = def_threads;
-    const char *prog = argc > 0 ? argv[0] : "bench";
-    std::vector<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (a[0] == '-') {
-            for (const std::string &s : seen)
-                if (s == a)
-                    detail::usageError(prog, "duplicate flag", a);
-            seen.emplace_back(a);
-        }
-        if (std::strcmp(a, "--samples") == 0) {
-            args.samples = static_cast<std::uint32_t>(
-                detail::numericValue(prog, a, next));
-            ++i;
-        } else if (std::strcmp(a, "--threads") == 0) {
-            args.threads = static_cast<unsigned>(
-                detail::numericValue(prog, a, next));
-            ++i;
-        } else if (std::strcmp(a, "--out") == 0) {
-            if (next == nullptr)
-                detail::usageError(prog, "missing value for", a);
-            args.outDir = next;
-            ++i;
-        } else if (std::strcmp(a, "--checkpoint-every") == 0) {
-            args.checkpointEvery = static_cast<std::uint32_t>(
-                detail::numericValue(prog, a, next));
-            ++i;
-        } else if (std::strcmp(a, "--checkpoint-out") == 0) {
-            if (next == nullptr)
-                detail::usageError(prog, "missing value for", a);
-            args.checkpointOut = next;
-            ++i;
-        } else if (std::strcmp(a, "--resume-from") == 0) {
-            if (next == nullptr)
-                detail::usageError(prog, "missing value for", a);
-            args.resumeFrom = next;
-            ++i;
-        } else if (std::strcmp(a, "--governor") == 0) {
-            if (next == nullptr)
-                detail::usageError(prog, "missing value for", a);
-            args.governor = next;
-            ++i;
-        } else if (std::strcmp(a, "--scenario") == 0) {
-            if (next == nullptr)
-                detail::usageError(prog, "missing value for", a);
-            args.scenario = next;
-            ++i;
-        } else if (a[0] == '-') {
-            bool known = false;
-            for (const char *f : extra_flags)
-                if (std::strcmp(a, f) == 0) {
-                    args.flags.emplace_back(a);
-                    known = true;
-                    break;
-                }
-            for (const char *o : extra_opts) {
-                if (known || std::strcmp(a, o) != 0)
-                    continue;
-                if (next == nullptr)
-                    detail::usageError(prog, "missing value for", a);
-                args.options.emplace_back(a, next);
-                known = true;
-                ++i;
-            }
-            if (!known)
-                detail::usageError(prog, "unknown flag", a);
-        } else {
-            if (args.positionals.size() >= max_positionals)
-                detail::usageError(prog, "unexpected argument", a);
-            args.positionals.emplace_back(a);
-        }
+    cli::Spec spec{{extra_flags.begin(), extra_flags.end()},
+                   {"--samples", "--threads", "--out", "--checkpoint-every",
+                    "--checkpoint-out", "--resume-from", "--governor",
+                    "--scenario"},
+                   max_positionals};
+    std::string usage =
+        "[--samples N] [--threads N] [--out DIR] [--checkpoint-every N]"
+        " [--checkpoint-out FILE] [--resume-from FILE] [--governor POLICY]"
+        " [--scenario FILE]";
+    for (const char *f : extra_flags)
+        usage += std::string(" [") + f + "]";
+    for (const char *o : extra_opts) {
+        spec.options.emplace_back(o);
+        usage += std::string(" [") + o + " V]";
     }
+    if (max_positionals > 0)
+        usage += " [ARG...]";
 
-    // Cross-flag validation: mutually exclusive or dependent flag
-    // combinations are hard errors here, not per-bench warnings, so
-    // every binary rejects them identically.
+    BenchArgs args(cli::parse(argc, argv, spec, std::move(usage)));
+    args.samples = static_cast<std::uint32_t>(
+        args.number("--samples", def_samples, 0, cli::kMaxCount));
+    args.threads = static_cast<unsigned>(
+        args.number("--threads", def_threads, 0, cli::kMaxCount));
+    args.outDir = args.optionValue("--out");
+    args.checkpointEvery = static_cast<std::uint32_t>(
+        args.number("--checkpoint-every", 0, 0, cli::kMaxCount));
+    args.checkpointOut = args.optionValue("--checkpoint-out");
+    args.resumeFrom = args.optionValue("--resume-from");
+    args.governor = args.optionValue("--governor");
+    args.scenario = args.optionValue("--scenario");
+
     if (args.checkpointEvery > 0 && args.checkpointOut.empty())
-        detail::usageError(prog, "--checkpoint-every requires",
-                           "--checkpoint-out");
+        args.fail("--checkpoint-every requires", "--checkpoint-out");
     if (args.hasFlag("--sampled")) {
         // A sampled run re-simulates slices forked from its own
         // profile; layering it over an unrelated resume image or a
         // periodic checkpoint stream is undefined.
         if (!args.resumeFrom.empty())
-            detail::usageError(prog, "--sampled is incompatible with",
-                               "--resume-from");
+            args.fail("--sampled is incompatible with", "--resume-from");
         if (args.checkpointEvery > 0 || !args.checkpointOut.empty())
-            detail::usageError(prog, "--sampled is incompatible with",
-                               "--checkpoint-every/--checkpoint-out");
+            args.fail("--sampled is incompatible with",
+                      "--checkpoint-every/--checkpoint-out");
     }
     return args;
 }

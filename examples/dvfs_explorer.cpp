@@ -10,10 +10,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "chip/fmax_solver.hh"
+#include "common/cli.hh"
 #include "sim/system.hh"
 #include "workloads/microbenchmarks.hh"
 
@@ -22,14 +21,11 @@ main(int argc, char **argv)
 {
     using namespace piton;
 
-    int chip_id = 2;
-    double vdd = 1.00;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--chip") == 0)
-            chip_id = std::atoi(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--vdd") == 0)
-            vdd = std::atof(argv[i + 1]);
-    }
+    const cli::Args args = cli::parse(argc, argv, {{}, {"--chip", "--vdd"}},
+                                      "[--chip 1..4] [--vdd VOLTS]");
+    const auto chip_id = static_cast<int>(args.number("--chip", 2, 1, 4));
+    const double vdd =
+        args.real("--vdd", 1.00, power::VfParams{}.minVddV, 2.0);
     const double vcs = vdd + 0.05;
 
     const chip::FmaxSolver solver(power::VfModel{}, power::EnergyModel{},

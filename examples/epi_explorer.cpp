@@ -13,9 +13,9 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/cli.hh"
 #include "core/epi_experiment.hh"
 
 int
@@ -23,30 +23,34 @@ main(int argc, char **argv)
 {
     using namespace piton;
 
+    const cli::Args args =
+        cli::parse(argc, argv, {{"--list"}, {"--samples"}, 2},
+                   "[variant] [min|random|max] [--samples N] | --list");
+    if (args.hasFlag("--list")) {
+        std::printf("supported variants:\n");
+        for (const auto &v : workloads::epiVariants())
+            std::printf("  %-10s latency %2u cycles%s\n", v.label.c_str(),
+                        v.latency,
+                        v.hasOperands ? "" : " (no operand patterns)");
+        return 0;
+    }
+    const auto samples = static_cast<std::uint32_t>(
+        args.number("--samples", 64, 0, cli::kMaxCount));
+    // Each positional is an operand pattern or a variant label.
+    std::vector<std::string> variants;
+    for (const auto &v : workloads::epiVariants())
+        variants.push_back(v.label);
     std::string variant = "add";
     workloads::OperandPattern pattern = workloads::OperandPattern::Random;
-    std::uint32_t samples = 64;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--list") {
-            std::printf("supported variants:\n");
-            for (const auto &v : workloads::epiVariants())
-                std::printf("  %-10s latency %2u cycles%s\n",
-                            v.label.c_str(), v.latency,
-                            v.hasOperands ? "" : " (no operand patterns)");
-            return 0;
-        }
-        if (arg == "--samples" && i + 1 < argc) {
-            samples = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (arg == "min") {
+    for (const std::string &arg : args.positionals) {
+        if (arg == "min")
             pattern = workloads::OperandPattern::Minimum;
-        } else if (arg == "random") {
+        else if (arg == "random")
             pattern = workloads::OperandPattern::Random;
-        } else if (arg == "max") {
+        else if (arg == "max")
             pattern = workloads::OperandPattern::Maximum;
-        } else {
-            variant = arg;
-        }
+        else
+            variant = variants[args.toChoice("variant", arg, variants)];
     }
 
     const workloads::EpiVariant &v = workloads::epiVariant(variant);

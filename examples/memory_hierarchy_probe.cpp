@@ -10,11 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "arch/mem_system.hh"
 #include "arch/memory.hh"
+#include "common/cli.hh"
 #include "config/piton_params.hh"
 #include "power/energy_model.hh"
 
@@ -23,19 +22,16 @@ main(int argc, char **argv)
 {
     using namespace piton;
 
-    Addr stride = 51200; // aliases one L1 set, stays at one home tile
-    int count = 12;
-    TileId tile = 0;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--stride") == 0)
-            stride = std::strtoull(argv[i + 1], nullptr, 0);
-        else if (std::strcmp(argv[i], "--count") == 0)
-            count = std::atoi(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--tile") == 0)
-            tile = static_cast<TileId>(std::atoi(argv[i + 1]));
-    }
-
     config::PitonParams params;
+    const cli::Args args =
+        cli::parse(argc, argv, {{}, {"--stride", "--count", "--tile"}},
+                   "[--stride BYTES] [--count N] [--tile T]");
+    // The default stride aliases one L1 set and stays at one home tile.
+    const Addr stride = args.number("--stride", 51200, 0, UINT64_MAX);
+    const auto count =
+        static_cast<int>(args.number("--count", 12, 0, cli::kMaxCount));
+    const auto tile = static_cast<TileId>(
+        args.number("--tile", 0, 0, params.tileCount - 1));
     power::EnergyModel energy;
     power::EnergyLedger ledger;
     arch::MainMemory memory;

@@ -12,9 +12,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/cli.hh"
 #include "core/equations.hh"
 #include "core/noc_experiment.hh"
 
@@ -23,14 +22,15 @@ main(int argc, char **argv)
 {
     using namespace piton;
 
-    RegVal payload = 0xAAAAAAAAAAAAAAAAULL;
-    std::uint32_t max_hops = 8;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--hops") == 0 && i + 1 < argc)
-            max_hops = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        else
-            payload = std::strtoull(argv[i], nullptr, 0);
-    }
+    const cli::Args args = cli::parse(argc, argv, {{}, {"--hops"}, 1},
+                                      "[payload-hex] [--hops 0..8]");
+    const RegVal payload =
+        args.positionals.empty()
+            ? 0xAAAAAAAAAAAAAAAAULL
+            : args.toNumber("payload", args.positionals[0], 0, UINT64_MAX);
+    // 8 hops is the corner-to-corner maximum of the 5x5 mesh.
+    const auto max_hops =
+        static_cast<std::uint32_t>(args.number("--hops", 8, 0, 8));
 
     // Measure EPF for the user's payload (alternating with zeros) at
     // each hop count, through the full injection methodology.

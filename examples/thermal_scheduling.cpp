@@ -13,9 +13,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/cli.hh"
 #include "core/thermal_experiments.hh"
 
 int
@@ -23,15 +22,12 @@ main(int argc, char **argv)
 {
     using namespace piton;
 
-    double phase_s = 10.0;
-    int split = 26;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--phase") == 0)
-            phase_s = std::atof(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--split") == 0)
-            split = std::atoi(argv[i + 1]);
-    }
-    (void)split; // the 26/24 split is fixed in the library experiment
+    const cli::Args args = cli::parse(argc, argv, {{}, {"--phase", "--split"}},
+                                      "[--phase SECONDS] [--split N]");
+    const double phase_s = args.real("--phase", 10.0, 1e-3, 1e6);
+    // Checked but unused: the 26/24 split is fixed in the library
+    // experiment.
+    args.number("--split", 26, 0, 50);
 
     const core::SchedulingExperiment exp(core::thermalStudyOptions(), 16);
     std::printf("two-phase application on all 50 threads, %g s phases\n",

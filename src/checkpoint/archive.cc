@@ -171,9 +171,10 @@ Archive::finish()
     check(!inSection_, "finish() inside an open section");
     check(!finished_, "finish() called twice");
     finished_ = true;
-    std::vector<std::uint8_t> out;
+    // Construct from the magic rather than insert it after reserve():
+    // the latter trips a GCC 12 -O3 false -Wstringop-overflow.
+    std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
     out.reserve(bytes_.size() + 16);
-    out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
     putScalar(out, kFormatVersion);
     putScalar(out, sectionCount_);
     out.insert(out.end(), bytes_.begin(), bytes_.end());

@@ -211,6 +211,8 @@ class SaSearcher : public Searcher
         SeenSet seen;
         const std::uint32_t warm =
             std::min(std::max(opts.batch, 1u), run.remaining());
+        if (warm == 0)
+            return run.finish();
         std::vector<Candidate> init = seedCandidates(task.space, warm);
         while (init.size() < warm)
             init.push_back(randomCandidate(task.space, rng));

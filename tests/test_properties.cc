@@ -100,10 +100,13 @@ INSTANTIATE_TEST_SUITE_P(
                     config::PitonParams{}.l2Slice),
     [](const testing::TestParamInfo<config::CacheParams> &info) {
         // L1D and L1.5 share a geometry: include the index for
-        // uniqueness.
-        return "c" + std::to_string(info.index) + "_size"
-               + std::to_string(info.param.sizeBytes / 1024) + "k_line"
-               + std::to_string(info.param.lineBytes);
+        // uniqueness.  Appended piecewise: "c" + std::to_string(...)
+        // trips a GCC 12 -O3 false -Wrestrict.
+        std::string name = "c";
+        name += std::to_string(info.index) + "_size"
+                + std::to_string(info.param.sizeBytes / 1024) + "k_line"
+                + std::to_string(info.param.lineBytes);
+        return name;
     });
 
 // ---------------------------------------------------------------------

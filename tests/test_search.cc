@@ -4,8 +4,8 @@
  * and its equivalence classes, stable keys, move/constructor
  * invariants, the candidate→service-request mapping (equal canonical
  * candidates must share a result-cache key — that identity is what
- * makes search revisits cache hits), objective score banding, and the
- * engine factory.
+ * makes search revisits cache hits), objective score banding, the
+ * engine factory, and the zero-budget edge of every engine.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 #include "common/rng.hh"
 #include "search/objective.hh"
+#include "search/oracle.hh"
 #include "search/searcher.hh"
 #include "search/space.hh"
 #include "workloads/microbenchmarks.hh"
@@ -256,6 +257,28 @@ TEST(Searcher, FactoryKnowsExactlyTheAdvertisedEngines)
     }
     EXPECT_THROW(makeSearcher("gradient-descent"), std::invalid_argument);
     EXPECT_THROW(makeSearcher(""), std::invalid_argument);
+}
+
+TEST(Searcher, ZeroBudgetSpendsNothingOnEveryEngine)
+{
+    // Regression: SA used to index the first of zero warm-start
+    // candidates.  With no budget every engine must return at once,
+    // without an oracle call, and report nothing found.
+    SearchTask task;
+    task.space = space4();
+    task.base.workload.bench =
+        static_cast<std::uint16_t>(workloads::Microbench::Phased);
+    task.base.workload.iterations = 2;
+    SearcherOptions opts;
+    opts.budget = 0;
+    for (const std::string &name : searcherNames()) {
+        InProcessOracle oracle;
+        const SearchResult r = makeSearcher(name)->search(task, oracle, opts);
+        EXPECT_EQ(r.oracleCalls, 0u) << name;
+        EXPECT_EQ(oracle.stats().calls, 0u) << name;
+        EXPECT_GE(r.bestScore, kInvalidScore) << name;
+        EXPECT_TRUE(r.trajectory.empty()) << name;
+    }
 }
 
 TEST(Searcher, TrajectoryCsvIsHeaderPlusOneLinePerPoint)

@@ -6,7 +6,7 @@
  *   piton-fleetctl --workers ... stats
  *   piton-fleetctl --workers ... run <preset> [--samples N]
  *                  [--deadline-ms N] [--repeat N] [--expect-identical]
- *   piton-fleetctl --workers ... sweep --points N [--verify]
+ *   piton-fleetctl --workers ... sweep [--points N] [--verify]
  *   piton-fleetctl --workers ... shutdown
  *
  * Requests are consistent-hash routed across the workers with
@@ -20,11 +20,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "fleet/coordinator.hh"
 #include "fleet/load.hh"
 #include "service/client.hh"
@@ -34,58 +33,22 @@ namespace
 
 using namespace piton;
 
-[[noreturn]] void
-usage(const char *prog)
+/** The usage text: every command plus the preset list. */
+std::string
+usageText()
 {
-    std::fprintf(stderr,
-                 "usage: %s --workers P1,P2[,...] <command>\n"
-                 "commands:\n"
-                 "  ping\n"
-                 "  stats\n"
-                 "  run <preset> [--samples N] [--deadline-ms N]"
-                 " [--repeat N] [--expect-identical]\n"
-                 "  sweep --points N [--verify]\n"
-                 "  shutdown\n"
-                 "presets:",
-                 prog);
+    std::string text = "--workers P1,P2[,...] <command>\n"
+                       "commands:\n"
+                       "  ping\n"
+                       "  stats\n"
+                       "  run <preset> [--samples N] [--deadline-ms N]"
+                       " [--repeat N] [--expect-identical]\n"
+                       "  sweep [--points N] [--verify]\n"
+                       "  shutdown\n"
+                       "presets:";
     for (const std::string &name : service::presetNames())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-}
-
-long
-numericValue(const char *prog, const char *value)
-{
-    if (value == nullptr)
-        usage(prog);
-    char *end = nullptr;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < 0)
-        usage(prog);
-    return v;
-}
-
-std::vector<std::uint16_t>
-parsePorts(const char *prog, const char *list)
-{
-    std::vector<std::uint16_t> ports;
-    if (list == nullptr)
-        usage(prog);
-    const std::string s = list;
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        const std::string tok = s.substr(pos, comma - pos);
-        ports.push_back(
-            static_cast<std::uint16_t>(numericValue(prog, tok.c_str())));
-        pos = comma + 1;
-    }
-    if (ports.empty())
-        usage(prog);
-    return ports;
+        text += " " + name;
+    return text;
 }
 
 int
@@ -185,15 +148,47 @@ cmdSweep(fleet::FleetCoordinator &coord, long points, bool verify)
 int
 main(int argc, char **argv)
 {
-    std::vector<std::uint16_t> ports;
-    int i = 1;
-    if (i + 1 < argc && std::strcmp(argv[i], "--workers") == 0) {
-        ports = parsePorts(argv[0], argv[i + 1]);
-        i += 2;
+    // Parse the whole command line before building the coordinator,
+    // which connects to every worker.
+    const std::string usage = usageText();
+    const cli::Args global =
+        cli::parse(argc, argv, {{}, {"--workers"}, 0, true}, usage);
+    const std::vector<std::uint16_t> ports = global.ports("--workers");
+    if (ports.empty())
+        global.fail("missing", "--workers");
+    if (global.positionals.empty())
+        global.fail("missing", "<command>");
+    const std::vector<std::string> commands = {"ping", "stats", "run",
+                                               "sweep", "shutdown"};
+    const std::string command =
+        commands[global.toChoice("command", global.positionals[0], commands)];
+    cli::Spec spec;
+    if (command == "run")
+        spec = {{"--expect-identical"},
+                {"--samples", "--deadline-ms", "--repeat"},
+                1};
+    else if (command == "sweep")
+        spec = {{"--verify"}, {"--points"}};
+    const cli::Args args =
+        cli::parse(argc, argv, spec, usage, global.next());
+
+    service::ExperimentRequest req;
+    if (command == "run") {
+        if (args.positionals.empty())
+            args.fail("missing", "<preset>");
+        const std::vector<std::string> presets = service::presetNames();
+        req = service::presetRequest(
+            presets[args.toChoice("preset", args.positionals[0], presets)]);
+        req.samples = static_cast<std::uint32_t>(
+            args.number("--samples", req.samples, 0, cli::kMaxCount));
+        req.deadlineMs = static_cast<std::uint32_t>(
+            args.number("--deadline-ms", req.deadlineMs, 0, cli::kMaxCount));
     }
-    if (ports.empty() || i >= argc)
-        usage(argv[0]);
-    const std::string command = argv[i++];
+    const auto repeat =
+        static_cast<long>(args.number("--repeat", 1, 0, cli::kMaxCount));
+    const bool expect_identical = args.hasFlag("--expect-identical");
+    const auto points =
+        static_cast<long>(args.number("--points", 16, 0, cli::kMaxCount));
 
     try {
         fleet::FleetConfig cfg;
@@ -221,49 +216,8 @@ main(int argc, char **argv)
             }
             return rc;
         }
-        if (command == "sweep") {
-            long points = 16;
-            bool verify = false;
-            for (; i < argc; ++i) {
-                const char *a = argv[i];
-                const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-                if (std::strcmp(a, "--points") == 0) {
-                    points = numericValue(argv[0], next);
-                    ++i;
-                } else if (std::strcmp(a, "--verify") == 0) {
-                    verify = true;
-                } else {
-                    usage(argv[0]);
-                }
-            }
-            return cmdSweep(coord, points, verify);
-        }
-        if (command != "run" || i >= argc)
-            usage(argv[0]);
-
-        service::ExperimentRequest req = service::presetRequest(argv[i++]);
-        long repeat = 1;
-        bool expect_identical = false;
-        for (; i < argc; ++i) {
-            const char *a = argv[i];
-            const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-            if (std::strcmp(a, "--samples") == 0) {
-                req.samples = static_cast<std::uint32_t>(
-                    numericValue(argv[0], next));
-                ++i;
-            } else if (std::strcmp(a, "--deadline-ms") == 0) {
-                req.deadlineMs = static_cast<std::uint32_t>(
-                    numericValue(argv[0], next));
-                ++i;
-            } else if (std::strcmp(a, "--repeat") == 0) {
-                repeat = numericValue(argv[0], next);
-                ++i;
-            } else if (std::strcmp(a, "--expect-identical") == 0) {
-                expect_identical = true;
-            } else {
-                usage(argv[0]);
-            }
-        }
+        if (command == "sweep")
+            return cmdSweep(coord, points, args.hasFlag("--verify"));
 
         std::vector<std::uint8_t> first_body;
         for (long n = 0; n < repeat; ++n) {

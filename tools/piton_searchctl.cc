@@ -25,6 +25,7 @@
  *   --explore-slices N      explore through sampled runs (0 = exact)
  *   --power-cap W           constraint for min-energy-capped
  *   --deadline-s S          constraint for max-throughput
+ *   --threads N             in-process/fleet oracle threads (default 1)
  *   --out FILE              write the best-so-far trajectory as CSV
  *
  * Exit status 0 when the search found a feasible candidate and the
@@ -34,12 +35,11 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "fleet/coordinator.hh"
 #include "search/searcher.hh"
 #include "service/client.hh"
@@ -50,84 +50,22 @@ namespace
 
 using namespace piton;
 
-[[noreturn]] void
-usage(const char *prog)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s <goal> [options]\n"
-        "goals: minimize-epi | min-energy-capped | max-throughput\n"
-        "backend: (in-process) | --port N | --workers P1,P2[,...]\n"
-        "options: --engine sa|ga|random --seed N --budget N --batch N\n"
-        "         --cores N --chip N --bench NAME --iterations N\n"
-        "         --explore-iterations N --explore-slices N\n"
-        "         --power-cap W --deadline-s S --threads N --out FILE\n",
-        prog);
-    std::exit(2);
-}
-
-long
-numericValue(const char *prog, const char *value)
-{
-    if (value == nullptr)
-        usage(prog);
-    char *end = nullptr;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < 0)
-        usage(prog);
-    return v;
-}
-
-double
-doubleValue(const char *prog, const char *value)
-{
-    if (value == nullptr)
-        usage(prog);
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0')
-        usage(prog);
-    return v;
-}
-
-std::vector<std::uint16_t>
-parsePorts(const char *prog, const char *list)
-{
-    std::vector<std::uint16_t> ports;
-    if (list == nullptr)
-        usage(prog);
-    const std::string s = list;
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        const std::string tok = s.substr(pos, comma - pos);
-        ports.push_back(
-            static_cast<std::uint16_t>(numericValue(prog, tok.c_str())));
-        pos = comma + 1;
-    }
-    if (ports.empty())
-        usage(prog);
-    return ports;
-}
-
-std::uint16_t
-benchFromName(const char *prog, const std::string &name)
+/** Lower-case microbenchmark names, indexed by Microbench value. */
+std::vector<std::string>
+benchNames()
 {
     using workloads::Microbench;
+    std::vector<std::string> names;
     for (std::uint16_t b = 0;
          b <= static_cast<std::uint16_t>(Microbench::Phased); ++b) {
-        std::string n = workloads::microbenchName(
-            static_cast<Microbench>(b));
+        std::string n =
+            workloads::microbenchName(static_cast<Microbench>(b));
         for (char &ch : n)
-            ch = static_cast<char>(std::tolower(
-                static_cast<unsigned char>(ch)));
-        if (n == name)
-            return b;
+            ch = static_cast<char>(
+                std::tolower(static_cast<unsigned char>(ch)));
+        names.push_back(std::move(n));
     }
-    std::fprintf(stderr, "unknown bench '%s'\n", name.c_str());
-    usage(prog);
+    return names;
 }
 
 void
@@ -162,96 +100,62 @@ printEvaluation(const char *label, const search::Evaluation &ev,
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        usage(argv[0]);
-    std::string goal_arg = argv[1];
+    // Parse the whole command line before connecting to a backend.
+    const cli::Args args = cli::parse(
+        argc, argv,
+        {{},
+         {"--engine", "--seed", "--budget", "--batch", "--cores", "--chip",
+          "--bench", "--iterations", "--explore-iterations",
+          "--explore-slices", "--power-cap", "--deadline-s", "--threads",
+          "--port", "--workers", "--out"},
+         1},
+        "<goal> [options]\n"
+        "goals: minimize-epi | min-energy-capped | max-throughput\n"
+        "backend: (in-process) | --port N | --workers P1,P2[,...]\n"
+        "options: --engine sa|ga|random --seed N --budget N --batch N\n"
+        "         --cores N --chip N --bench NAME --iterations N\n"
+        "         --explore-iterations N --explore-slices N\n"
+        "         --power-cap W --deadline-s S --threads N --out FILE");
+    if (args.positionals.empty())
+        args.fail("missing", "<goal>");
+    std::string goal_arg = args.positionals[0];
     if (goal_arg == "minimize-epi") // CLI alias for the §16 example
         goal_arg = "min-epi";
+    args.toChoice("goal", goal_arg,
+                  {"min-epi", "min-energy-capped", "max-throughput"});
 
-    std::string engine = "sa";
-    std::string out_path;
-    std::uint16_t port = 0;
-    std::vector<std::uint16_t> worker_ports;
-    unsigned threads = 1;
+    const std::vector<std::string> engines = search::searcherNames();
+    const std::string engine =
+        engines[args.choice("--engine", engines, "sa")];
+    const std::string out_path = args.optionValue("--out");
+    const auto port =
+        static_cast<std::uint16_t>(args.number("--port", 0, 0, 65535));
+    const std::vector<std::uint16_t> worker_ports = args.ports("--workers");
+    const auto threads =
+        static_cast<unsigned>(args.number("--threads", 1, 0, cli::kMaxCount));
     search::SearcherOptions opts;
+    opts.seed = args.number("--seed", opts.seed, 0, UINT64_MAX);
+    opts.budget = static_cast<std::uint32_t>(
+        args.number("--budget", opts.budget, 1, cli::kMaxCount));
+    opts.batch = static_cast<std::uint32_t>(
+        args.number("--batch", opts.batch, 0, cli::kMaxCount));
     search::SearchTask task;
-    task.objective.goal = search::Goal::MinEpi;
-    std::uint32_t cores = 4;
-    int chip_id = 2;
-    task.base.workload.bench =
-        static_cast<std::uint16_t>(workloads::Microbench::Phased);
-    task.base.workload.iterations = 2;
+    task.objective.goal = search::goalFromName(goal_arg);
+    task.objective.powerCapW = args.real("--power-cap", 0.0);
+    task.objective.deadlineS = args.real("--deadline-s", 0.0);
+    const auto cores = static_cast<std::uint32_t>(
+        args.number("--cores", 4, 0, cli::kMaxCount));
+    const auto chip_id = static_cast<int>(args.number("--chip", 2, 1, 4));
+    task.base.workload.bench = static_cast<std::uint16_t>(
+        args.choice("--bench", benchNames(), "phased"));
+    task.base.workload.iterations =
+        args.number("--iterations", 2, 0, cli::kMaxCount);
     task.base.workload.threadsPerCore = 2;
     task.base.maxCycles = 50'000'000;
-
-    try {
-        task.objective.goal = search::goalFromName(goal_arg);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        usage(argv[0]);
-    }
-
-    for (int i = 2; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (std::strcmp(a, "--engine") == 0 && next != nullptr) {
-            engine = next;
-            ++i;
-        } else if (std::strcmp(a, "--seed") == 0) {
-            opts.seed =
-                static_cast<std::uint64_t>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--budget") == 0) {
-            opts.budget =
-                static_cast<std::uint32_t>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--batch") == 0) {
-            opts.batch =
-                static_cast<std::uint32_t>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--cores") == 0) {
-            cores = static_cast<std::uint32_t>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--chip") == 0) {
-            chip_id = static_cast<int>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--bench") == 0 && next != nullptr) {
-            task.base.workload.bench = benchFromName(argv[0], next);
-            ++i;
-        } else if (std::strcmp(a, "--iterations") == 0) {
-            task.base.workload.iterations =
-                static_cast<std::uint64_t>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--explore-iterations") == 0) {
-            task.exploreIterations =
-                static_cast<std::uint64_t>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--explore-slices") == 0) {
-            task.exploreSampledSlices =
-                static_cast<std::uint32_t>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--power-cap") == 0) {
-            task.objective.powerCapW = doubleValue(argv[0], next);
-            ++i;
-        } else if (std::strcmp(a, "--deadline-s") == 0) {
-            task.objective.deadlineS = doubleValue(argv[0], next);
-            ++i;
-        } else if (std::strcmp(a, "--threads") == 0) {
-            threads = static_cast<unsigned>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--port") == 0) {
-            port = static_cast<std::uint16_t>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--workers") == 0) {
-            worker_ports = parsePorts(argv[0], next);
-            ++i;
-        } else if (std::strcmp(a, "--out") == 0 && next != nullptr) {
-            out_path = next;
-            ++i;
-        } else {
-            usage(argv[0]);
-        }
-    }
+    task.exploreIterations = args.number(
+        "--explore-iterations", task.exploreIterations, 0, cli::kMaxCount);
+    task.exploreSampledSlices = static_cast<std::uint32_t>(args.number(
+        "--explore-slices", task.exploreSampledSlices, 0, cli::kMaxCount));
 
     try {
         task.base.chipId = chip_id;

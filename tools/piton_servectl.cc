@@ -16,14 +16,12 @@
  * smoke job runs) and that the repeats were served from the cache.
  */
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "service/client.hh"
 
 namespace
@@ -31,35 +29,21 @@ namespace
 
 using namespace piton;
 
-[[noreturn]] void
-usage(const char *prog)
+/** The usage text: every command plus the preset list. */
+std::string
+usageText()
 {
-    std::fprintf(stderr,
-                 "usage: %s [--port N] <command>\n"
-                 "commands:\n"
-                 "  ping\n"
-                 "  stats\n"
-                 "  run <preset> [--samples N] [--deadline-ms N]"
-                 " [--repeat N] [--expect-identical]\n"
-                 "  shutdown\n"
-                 "presets:",
-                 prog);
+    std::string text = "[--port N] <command>\n"
+                       "commands:\n"
+                       "  ping\n"
+                       "  stats\n"
+                       "  run <preset> [--samples N] [--deadline-ms N]"
+                       " [--repeat N] [--expect-identical]\n"
+                       "  shutdown\n"
+                       "presets:";
     for (const std::string &name : service::presetNames())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-}
-
-long
-numericValue(const char *prog, const char *value)
-{
-    if (value == nullptr)
-        usage(prog);
-    char *end = nullptr;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < 0)
-        usage(prog);
-    return v;
+        text += " " + name;
+    return text;
 }
 
 void
@@ -152,52 +136,41 @@ main(int argc, char **argv)
     // Parse the whole command line before connecting: a typo must fail
     // with the usage message, not with a connection error or a run
     // that silently ignored it.
-    std::uint16_t port = 7425;
-    int i = 1;
-    if (i + 1 < argc && std::strcmp(argv[i], "--port") == 0) {
-        port = static_cast<std::uint16_t>(numericValue(argv[0], argv[i + 1]));
-        i += 2;
-    }
-    if (i >= argc)
-        usage(argv[0]);
-    const std::string command = argv[i++];
-    if (command != "ping" && command != "stats" && command != "shutdown"
-        && command != "run")
-        usage(argv[0]);
-    if (command != "run" && i < argc)
-        usage(argv[0]); // trailing arguments
+    const std::string usage = usageText();
+    const cli::Args global =
+        cli::parse(argc, argv, {{}, {"--port"}, 0, true}, usage);
+    const auto port =
+        static_cast<std::uint16_t>(global.number("--port", 7425, 0, 65535));
+    if (global.positionals.empty())
+        global.fail("missing", "<command>");
+    const std::vector<std::string> commands = {"ping", "stats", "run",
+                                               "shutdown"};
+    const std::string command =
+        commands[global.toChoice("command", global.positionals[0], commands)];
+    const bool is_run = command == "run";
+    const cli::Args args = cli::parse(
+        argc, argv,
+        is_run ? cli::Spec{{"--expect-identical"},
+                           {"--samples", "--deadline-ms", "--repeat"},
+                           1}
+               : cli::Spec{},
+        usage, global.next());
 
     service::ExperimentRequest req;
-    long repeat = 1;
-    bool expect_identical = false;
-    if (command == "run") {
+    if (is_run) {
+        if (args.positionals.empty())
+            args.fail("missing", "<preset>");
         const std::vector<std::string> presets = service::presetNames();
-        if (i >= argc
-            || std::find(presets.begin(), presets.end(), argv[i])
-                   == presets.end())
-            usage(argv[0]);
-        req = service::presetRequest(argv[i++]);
-        for (; i < argc; ++i) {
-            const char *a = argv[i];
-            const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-            if (std::strcmp(a, "--samples") == 0) {
-                req.samples = static_cast<std::uint32_t>(
-                    numericValue(argv[0], next));
-                ++i;
-            } else if (std::strcmp(a, "--deadline-ms") == 0) {
-                req.deadlineMs = static_cast<std::uint32_t>(
-                    numericValue(argv[0], next));
-                ++i;
-            } else if (std::strcmp(a, "--repeat") == 0) {
-                repeat = numericValue(argv[0], next);
-                ++i;
-            } else if (std::strcmp(a, "--expect-identical") == 0) {
-                expect_identical = true;
-            } else {
-                usage(argv[0]);
-            }
-        }
+        req = service::presetRequest(
+            presets[args.toChoice("preset", args.positionals[0], presets)]);
+        req.samples = static_cast<std::uint32_t>(
+            args.number("--samples", req.samples, 0, cli::kMaxCount));
+        req.deadlineMs = static_cast<std::uint32_t>(
+            args.number("--deadline-ms", req.deadlineMs, 0, cli::kMaxCount));
     }
+    const auto repeat =
+        static_cast<long>(args.number("--repeat", 1, 0, cli::kMaxCount));
+    const bool expect_identical = args.hasFlag("--expect-identical");
 
     try {
         service::TcpClient client(port);

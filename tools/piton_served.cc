@@ -23,14 +23,10 @@
  * Shutdown frame: stop accepting, drain in-flight work, flush, exit.
  */
 
-#include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <thread>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "service/server.hh"
 
@@ -46,28 +42,6 @@ onSignal(int)
         gServer->requestStop(); // atomic store + self-pipe write
 }
 
-[[noreturn]] void
-usage(const char *prog)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--port N] [--threads N] [--max-pending N]"
-                 " [--cache-dir DIR] [--worker-id ID] [--log-level L]\n",
-                 prog);
-    std::exit(2);
-}
-
-long
-numericValue(const char *prog, const char *value)
-{
-    if (value == nullptr)
-        usage(prog);
-    char *end = nullptr;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < 0)
-        usage(prog);
-    return v;
-}
-
 } // namespace
 
 int
@@ -75,44 +49,28 @@ main(int argc, char **argv)
 {
     using namespace piton;
 
+    const cli::Args args = cli::parse(
+        argc, argv,
+        {{},
+         {"--port", "--threads", "--max-pending", "--cache-dir",
+          "--worker-id", "--log-level"}},
+        "[--port N] [--threads N] [--max-pending N] [--cache-dir DIR]"
+        " [--worker-id ID] [--log-level silent|warn|info|debug]");
     service::ServerConfig cfg;
-    cfg.port = 7425;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (std::strcmp(a, "--port") == 0) {
-            cfg.port = static_cast<std::uint16_t>(
-                numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--threads") == 0) {
-            cfg.scheduler.threads =
-                static_cast<unsigned>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--max-pending") == 0) {
-            cfg.scheduler.maxPending =
-                static_cast<std::size_t>(numericValue(argv[0], next));
-            ++i;
-        } else if (std::strcmp(a, "--cache-dir") == 0) {
-            if (next == nullptr)
-                usage(argv[0]);
-            cfg.scheduler.resultCache.diskDir = next;
-            ++i;
-        } else if (std::strcmp(a, "--worker-id") == 0) {
-            if (next == nullptr)
-                usage(argv[0]);
-            cfg.workerId = next;
-            ++i;
-        } else if (std::strcmp(a, "--log-level") == 0) {
-            if (next == nullptr)
-                usage(argv[0]);
-            LogLevel level;
-            if (!parseLogLevel(next, level))
-                usage(argv[0]);
-            setLogLevel(level);
-            ++i;
-        } else {
-            usage(argv[0]);
-        }
+    cfg.port =
+        static_cast<std::uint16_t>(args.number("--port", 7425, 0, 65535));
+    cfg.scheduler.threads = static_cast<unsigned>(
+        args.number("--threads", cfg.scheduler.threads, 0, cli::kMaxCount));
+    cfg.scheduler.maxPending = static_cast<std::size_t>(args.number(
+        "--max-pending", cfg.scheduler.maxPending, 0, cli::kMaxCount));
+    cfg.scheduler.resultCache.diskDir = args.optionValue("--cache-dir");
+    cfg.workerId = args.optionValue("--worker-id");
+    if (args.hasFlag("--log-level")) {
+        LogLevel level;
+        if (!parseLogLevel(args.optionValue("--log-level"), level))
+            args.fail("unknown --log-level",
+                      args.optionValue("--log-level"));
+        setLogLevel(level);
     }
 
     service::ExperimentServer server(cfg);
