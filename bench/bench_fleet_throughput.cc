@@ -158,10 +158,9 @@ main(int argc, char **argv)
     const auto points = static_cast<std::size_t>(
         args.number("--points", 64, 0, cli::kMaxCount));
     const auto fleet_workers = static_cast<std::size_t>(
-        std::max<std::uint64_t>(
-            1, args.number("--fleet-workers", 2, 0, cli::kMaxCount)));
-    const auto concurrency = static_cast<unsigned>(std::max<std::uint64_t>(
-        1, args.number("--concurrency", 4, 0, cli::kMaxCount)));
+        args.number("--fleet-workers", 2, 1, cli::kMaxCount));
+    const auto concurrency = static_cast<unsigned>(
+        args.number("--concurrency", 4, 1, cli::kMaxCount));
     const double require_scaling = args.real("--require-scaling", 0.0);
     const bool verify = args.hasFlag("--verify");
 

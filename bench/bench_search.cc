@@ -27,7 +27,7 @@
  *
  * Flags (bench_util.hh):
  *   --budget N     explore evaluations per engine (default 24)
- *   --cores N      worker threads to place (default 3)
+ *   --cores N      worker threads to place, 1..25 (default 3)
  *   --seed N       search seed (default 1)
  *   --threads N    oracle batch threads (results thread-invariant)
  *   --sampled      explore through sampled runs (slices join the
@@ -116,7 +116,7 @@ main(int argc, char **argv)
     const auto budget = static_cast<std::uint32_t>(
         args.number("--budget", 24, 1, cli::kMaxCount));
     const auto cores = static_cast<std::uint32_t>(
-        args.number("--cores", 3, 0, cli::kMaxCount));
+        args.number("--cores", 3, 1, service::kMaxPlacementTiles));
     const std::uint64_t seed = args.number("--seed", 1, 0, UINT64_MAX);
 
     bench::banner("SEARCH", "placement/DVFS search vs random baseline");

@@ -3,13 +3,12 @@
  * Thermal scheduling study: evaluate how a scheduling policy's phase
  * alignment affects peak power, average temperature, and the
  * power/temperature hysteresis — the Section IV-J workflow, opened up
- * so users can sweep phase durations and thread splits.
+ * so users can sweep phase durations.  The interleaved schedule's
+ * 26/24 thread split is fixed by the library experiment.
  *
  * Usage:
- *   thermal_scheduling [--phase SECONDS] [--split N]
+ *   thermal_scheduling [--phase SECONDS]
  *     --phase  phase duration in seconds (default 10)
- *     --split  threads in phase A for the interleaved schedule
- *              (default 26 of 50)
  */
 
 #include <cstdio>
@@ -22,12 +21,9 @@ main(int argc, char **argv)
 {
     using namespace piton;
 
-    const cli::Args args = cli::parse(argc, argv, {{}, {"--phase", "--split"}},
-                                      "[--phase SECONDS] [--split N]");
+    const cli::Args args =
+        cli::parse(argc, argv, {{}, {"--phase"}}, "[--phase SECONDS]");
     const double phase_s = args.real("--phase", 10.0, 1e-3, 1e6);
-    // Checked but unused: the 26/24 split is fixed in the library
-    // experiment.
-    args.number("--split", 26, 0, 50);
 
     const core::SchedulingExperiment exp(core::thermalStudyOptions(), 16);
     std::printf("two-phase application on all 50 threads, %g s phases\n",

@@ -17,7 +17,7 @@
  * bodies for a canonical request, so re-routing — under any failure
  * schedule, at any worker count — cannot change a single response
  * byte relative to a single-node run.  tests/test_fleet.cc and the
- * fleet-smoke CI job gate exactly that.
+ * smoke_fleet_daemon / smoke_fleet_throughput ctests gate exactly that.
  *
  * A version mismatch (VersionMismatchError) is deliberately NOT
  * failed over: it means a mis-deployed binary, not a transient fault,

@@ -1,11 +1,12 @@
 /**
  * @file
  * Deterministic request-set generator shared by the fleet bench, the
- * fleetctl sweep command, the fleet test suite, and the fleet-smoke
- * CI job.  loadPoint(i) is a pure function of the index, so every
- * consumer — any worker count, any failure schedule, the single-node
- * reference — drives the exact same request population, which is what
- * makes their byte-identity comparisons meaningful.
+ * fleetctl sweep command, the fleet test suite, and the
+ * smoke_fleet_daemon ctest.  loadPoint(i) is a pure function of the
+ * index, so every consumer — any worker count, any failure schedule,
+ * the single-node reference — drives the exact same request
+ * population, which is what makes their byte-identity comparisons
+ * meaningful.
  */
 
 #ifndef PITON_FLEET_LOAD_HH

@@ -50,8 +50,11 @@ SearchSpace
 defaultSpace(std::uint32_t cores, int chip_id)
 {
     SearchSpace space;
-    space.cores = std::min<std::uint32_t>(std::max(cores, 1u), 25);
     space.tileCount = 25;
+    piton_assert(cores >= 1 && cores <= space.tileCount,
+                 "search space wants 1..%u cores, got %u", space.tileCount,
+                 cores);
+    space.cores = cores;
     const chip::ChipInstance inst = chip::makeChip(chip_id);
     const power::VfModel vf;
     // 50 mV rungs over the paper's stable operating band (Fig. 9).

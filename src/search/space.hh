@@ -59,9 +59,10 @@ struct Candidate
     std::vector<std::uint16_t> freqStep;
 };
 
-/** Build the default space for `cores` worker threads on `chip_id`:
- *  one rung per 50 mV from 0.75 V to 1.05 V, frequency from the chip's
- *  calibrated V-f curve (process-variation speed factor included). */
+/** Build the default space for `cores` worker threads (1..25, one per
+ *  tile; anything else is a caller bug) on `chip_id`: one rung per
+ *  50 mV from 0.75 V to 1.05 V, frequency from the chip's calibrated
+ *  V-f curve (process-variation speed factor included). */
 SearchSpace defaultSpace(std::uint32_t cores, int chip_id);
 
 /** Clamp `c` into `space` in place: rung into range, placement/freqStep

@@ -17,7 +17,7 @@
  *   --seed N                search RNG seed (default 1)
  *   --budget N              explore-evaluation budget (default 64)
  *   --batch N               evaluations per oracle batch (default 8)
- *   --cores N               worker threads to place (default 4)
+ *   --cores N               worker threads to place, 1..25 (default 4)
  *   --chip N                chip id (default 2)
  *   --bench NAME            microbenchmark (default phased)
  *   --iterations N          full-fidelity workload iterations
@@ -144,7 +144,7 @@ main(int argc, char **argv)
     task.objective.powerCapW = args.real("--power-cap", 0.0);
     task.objective.deadlineS = args.real("--deadline-s", 0.0);
     const auto cores = static_cast<std::uint32_t>(
-        args.number("--cores", 4, 0, cli::kMaxCount));
+        args.number("--cores", 4, 1, service::kMaxPlacementTiles));
     const auto chip_id = static_cast<int>(args.number("--chip", 2, 1, 4));
     task.base.workload.bench = static_cast<std::uint16_t>(
         args.choice("--bench", benchNames(), "phased"));

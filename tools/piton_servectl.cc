@@ -12,8 +12,9 @@
  * fig14, fig16, fig17, table5, table7) and prints the decoded result.
  * --repeat N issues the same request N times on one connection;
  * --expect-identical additionally asserts every response body is
- * byte-identical to the first (the cache-correctness check the CI
- * smoke job runs) and that the repeats were served from the cache.
+ * byte-identical to the first (the cache-correctness check the
+ * smoke_service_daemon ctest runs) and that the repeats were served
+ * from the cache.
  */
 
 #include <cinttypes>

@@ -12,7 +12,7 @@
  *   --port N          listening port (default 7425; 0 = ephemeral,
  *                     printed on stdout for scripting)
  *   --threads N       worker threads (0 = all hardware threads)
- *   --max-pending N   admission bound before requests are shed
+ *   --max-pending N   admission bound before requests are shed (>= 1)
  *   --cache-dir DIR   spill cached results to DIR (survives restarts)
  *   --worker-id ID    identity in HelloAck/StatsReply (default
  *                     worker-<port>; fleet members should pass stable
@@ -62,7 +62,7 @@ main(int argc, char **argv)
     cfg.scheduler.threads = static_cast<unsigned>(
         args.number("--threads", cfg.scheduler.threads, 0, cli::kMaxCount));
     cfg.scheduler.maxPending = static_cast<std::size_t>(args.number(
-        "--max-pending", cfg.scheduler.maxPending, 0, cli::kMaxCount));
+        "--max-pending", cfg.scheduler.maxPending, 1, cli::kMaxCount));
     cfg.scheduler.resultCache.diskDir = args.optionValue("--cache-dir");
     cfg.workerId = args.optionValue("--worker-id");
     if (args.hasFlag("--log-level")) {
