@@ -50,22 +50,40 @@ BM_CoreIssueLoop(benchmark::State &state)
 BENCHMARK(BM_CoreIssueLoop);
 
 /**
- * Full-chip run-ahead throughput: all 25 tiles x 2 threads on the
- * integer microbenchmark, in simulated core-cycles per second of real
- * time.
+ * Full-chip run-ahead throughput: all 25 tiles on the integer
+ * microbenchmark at `threads_per_core`, in simulated core-cycles per
+ * second of real time.
  */
 void
-BM_FullChipInt(benchmark::State &state)
+fullChipInt(benchmark::State &state, std::uint32_t threads_per_core)
 {
     sim::System sys{sim::SystemOptions{}};
     const auto programs = workloads::loadMicrobench(
-        sys, workloads::Microbench::Int, 25, 2, /*iterations=*/0);
+        sys, workloads::Microbench::Int, 25, threads_per_core,
+        /*iterations=*/0);
     sys.pitonChip().run(50000);
     for (auto _ : state)
         sys.pitonChip().run(5000);
     state.SetItemsProcessed(state.iterations() * 5000 * 25);
 }
+
+/** 25 x 2 T/C: two ready threads per core, the round-robin steady
+ *  state. */
+void
+BM_FullChipInt(benchmark::State &state)
+{
+    fullChipInt(state, 2);
+}
 BENCHMARK(BM_FullChipInt)->UseRealTime();
+
+/** 25 x 1 T/C (Fig. 13's multicore half, Table VII's streams): one
+ *  ready thread per core, the sibling Idle. */
+void
+BM_FullChipSingleThreadInt(benchmark::State &state)
+{
+    fullChipInt(state, 1);
+}
+BENCHMARK(BM_FullChipSingleThreadInt)->UseRealTime();
 
 void
 BM_MemorySystemL2Miss(benchmark::State &state)

@@ -1,6 +1,7 @@
 #include "arch/core.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "checkpoint/archive.hh"
 #include "checkpoint/program_table.hh"
@@ -16,6 +17,10 @@ Core::Core(TileId tile, const config::PitonParams &params,
     : tile_(tile), params_(params), mem_(mem), energy_(energy),
       ledger_(ledger), dynFactor_(dyn_factor), tileEnergy_(tile_energy)
 {
+    piton_assert(params_.threadsPerCore >= 1
+                     && params_.threadsPerCore <= kMaxThreadsPerCore,
+                 "threads per core must be in [1, %u], got %u",
+                 kMaxThreadsPerCore, params_.threadsPerCore);
     threads_.resize(params_.threadsPerCore);
     lastIssue_.resize(params_.threadsPerCore, {nullptr, 0});
     piton_assert(params_.storeBufferEntries > 0,
@@ -62,6 +67,68 @@ Core::drainStoreBuffer(Cycle now)
             sbHead_ = 0;
         --sbCount_;
     }
+}
+
+// Forced inline into both callers (issue() and the run-ahead loop):
+// the loop's per-instruction cost is dominated by operand spills
+// around an out-of-line call.
+#if defined(__GNUC__)
+[[gnu::always_inline]]
+#endif
+inline Cycle
+Core::executeLocal(ThreadState &t, const isa::DecodedInst &d, ThreadId tid,
+                   Cycle now)
+{
+    const isa::InstClass cls = d.cls;
+    switch (d.kind) {
+      case isa::IssueKind::Branch: {
+        chargeExec(cls, t.cc.zero, t.cc.negative);
+        const bool taken = isa::branchTaken(d.op, t.cc);
+        t.pc = taken ? d.target : t.pc + 1;
+        ++t.classCounts[static_cast<std::size_t>(cls)];
+        t.readyAt = now + d.latency;
+        ++t.instsExecuted;
+        return now + d.latency;
+      }
+      case isa::IssueKind::Halt:
+        t.status = ThreadStatus::Halted;
+        ++t.classCounts[static_cast<std::size_t>(cls)];
+        ++t.instsExecuted;
+        return kNever;
+      case isa::IssueKind::Alu:
+      default: {
+        // ALU / FP / pseudo ops.  Source operand values drive the
+        // switching energy.
+        const auto &srcs = d.fp ? t.fregs : t.regs;
+        const RegVal rs1 = srcs[d.rs1];
+        const RegVal rs2 = d.useImm ? static_cast<RegVal>(d.imm)
+                                    : srcs[d.rs2];
+        chargeExec(cls, rs1, rs2);
+        const RegVal hwid = hwidBase_ + tid;
+        const isa::AluResult res =
+            isa::evalAluOp(d.op, d.imm, rs1, rs2, hwid);
+        // %r0 is hardwired zero; FP registers have no zero register.
+        if (res.writesRd && (d.fp || d.rd != 0)) {
+            auto &dsts = d.fp ? t.fregs : t.regs;
+            dsts[d.rd] = res.value;
+        }
+        if (res.setsCc)
+            t.cc = res.cc;
+        ++t.classCounts[static_cast<std::size_t>(cls)];
+        t.readyAt = now + d.latency;
+        ++t.instsExecuted;
+        ++t.pc;
+        return now + d.latency;
+      }
+    }
+}
+
+void
+Core::chargeLedger(power::Category c, const power::RailEnergy &e)
+{
+    if (ledger_.addCore(c, e))
+        return; // captured: replay applies the per-tile share
+    tileEnergy_.add(tile_, e);
 }
 
 std::size_t
@@ -123,85 +190,43 @@ Core::totalInsts() const
 }
 
 bool
-Core::sharedPick(const ThreadState &t) const
+Core::tick(Cycle now)
 {
-    // An out-of-range pc must reach issue()'s diagnostic in global
-    // order, so treat it as shared rather than reading past the
-    // predecoded stream here.
-    if (t.pc >= t.program->size())
-        return true;
-    const isa::DecodedInst &d = t.program->decoded(t.pc);
-    switch (d.kind) {
-      case isa::IssueKind::Load:
-      case isa::IssueKind::Store:
-      case isa::IssueKind::Cas:
-        return true;
-      default:
-        break;
-    }
-    // ALU/branch/halt: core-local iff the fetch stays in the tile's
-    // own L1I (which no other tile ever touches — fills come only from
-    // this tile's ifetch misses).  probe() leaves LRU untouched; the
-    // actual tick applies the LRU update.
-    const Addr fline = d.pc & l1iLineMask_;
-    const CacheLine *cl = t.fetchRef;
-    if (cl && t.fetchLine == fline && cl->tag == fline && cl->valid())
+    // Duty-gated: no issue, and also no lazy store-buffer pruning — the
+    // fast path never visits a gated core (nextEventCycle is kNever),
+    // so the legacy path must not do bookkeeping here either.  The
+    // drain is lazy/idempotent anyway; skipping it is invisible.
+    if (dvfsGated_)
         return false;
-    return !mem_.l1iResident(tile_, fline);
-}
-
-template <bool Ahead>
-Core::TickOutcome
-Core::tickImpl(Cycle now)
-{
     drainStoreBuffer(now);
 
     // Round-robin thread selection starting after the last issuer, so
     // two ready threads alternate cycle by cycle (fine-grained MT).
     // Under Execution Drafting the selector switches to ExecD's MinPC
-    // policy: the ready thread furthest behind in the (shared) program
-    // issues first, pulling similar threads into lockstep so their
-    // instructions draft.
+    // policy (pickMinPc).
     const auto n = static_cast<std::uint32_t>(threads_.size());
+    const auto ready = [&](std::uint32_t tid) {
+        const ThreadState &t = threads_[tid];
+        return t.status == ThreadStatus::Ready && t.readyAt <= now;
+    };
     std::uint32_t pick = n; // invalid
     if (execDrafting_) {
-        for (std::uint32_t tid = 0; tid < n; ++tid) {
-            const ThreadState &t = threads_[tid];
-            if (t.status != ThreadStatus::Ready || t.readyAt > now)
-                continue;
-            if (pick == n)
-                pick = tid;
-            else if (threads_[pick].program == t.program
-                     && t.pc < threads_[pick].pc)
-                pick = tid;
-            else if (threads_[pick].program == t.program
-                     && t.pc == threads_[pick].pc && pick == lastIssued_)
-                pick = tid; // tie: alternate issuers
-        }
+        pick = pickMinPc(lastIssued_, ready);
     } else {
         std::uint32_t tid = lastIssued_;
         for (std::uint32_t i = 0; i < n; ++i) {
             if (++tid >= n)
                 tid = 0;
-            const ThreadState &t = threads_[tid];
-            if (t.status != ThreadStatus::Ready || t.readyAt > now)
-                continue;
-            pick = tid;
-            break;
+            if (ready(tid)) {
+                pick = tid;
+                break;
+            }
         }
     }
     if (pick == n)
-        return TickOutcome::NoPick;
+        return false;
 
     ThreadState &t = threads_[pick];
-    if constexpr (Ahead) {
-        // Stop before anything observable happens: the resume re-picks
-        // the same thread (nothing below mutates pick inputs) and pays
-        // the switch charge then, exactly as the in-order path would.
-        if (sharedPick(t))
-            return TickOutcome::Paused;
-    }
-
     // A drafted instruction reuses the sibling's front-end work: no
     // context-switch energy is paid for it.  (Without ExecD,
     // draftCheck is constant false and this is the plain FGMT
@@ -235,168 +260,131 @@ Core::tickImpl(Cycle now)
             noteBbv(pick, pc_before);
     }
     draftActive_ = false;
-    return TickOutcome::Picked;
-}
-
-template Core::TickOutcome Core::tickImpl<false>(Cycle);
-template Core::TickOutcome Core::tickImpl<true>(Cycle);
-
-bool
-Core::tick(Cycle now)
-{
-    // Duty-gated: no issue, and also no lazy store-buffer pruning — the
-    // fast path never visits a gated core (nextEventCycle is kNever),
-    // so the legacy path must not do bookkeeping here either.  The
-    // drain is lazy/idempotent anyway; skipping it is invisible.
-    if (dvfsGated_)
-        return false;
-    return tickImpl<false>(now) == TickOutcome::Picked;
+    return true;
 }
 
 Core::AheadResult
 Core::runAhead(Cycle from, Cycle lim)
 {
-    // The burst loop assumes plain round-robin between two ready
-    // threads and an empty store buffer; anything else takes the
-    // generic per-cycle loop.
-    if (!execDrafting_ && !trace_ && sbCount_ == 0 && threads_.size() == 2
-        && threads_[0].status == ThreadStatus::Ready
-        && threads_[1].status == ThreadStatus::Ready)
-        return runAheadBurst(from, lim);
-    return runAheadGeneric(from, lim);
+    piton_assert(!trace_, "run-ahead on a traced core (tile %u)", tile_);
+    return execDrafting_ ? runAheadLoop<true>(from, lim)
+                         : runAheadLoop<false>(from, lim);
 }
 
+template <bool Drafting>
 Core::AheadResult
-Core::runAheadGeneric(Cycle from, Cycle lim)
+Core::runAheadLoop(Cycle from, Cycle lim)
 {
-    AheadResult r;
-    Cycle cur = from;
-    for (;;) {
-        capCycle_ = cur;
-        if (tickImpl<true>(cur) == TickOutcome::Paused) {
-            r.next = cur;
-            r.paused = true;
-            return r;
-        }
-        r.last = cur;
-        r.ticked = true;
-        const Cycle next = nextEventCycle(cur + 1);
-        if (next == kNever || next >= lim) {
-            r.next = next;
-            return r;
-        }
-        cur = next;
+    static_assert(kMaxThreadsPerCore == 2);
+    // Per-thread ready cycle, kNever for a thread that is not Ready
+    // (and for the absent sibling of a one-thread core): such a thread
+    // is never picked and never sets the next event.  Only the picked
+    // thread's entry changes inside the loop.
+    std::array<Cycle, kMaxThreadsPerCore> rdy{kNever, kNever};
+    for (std::size_t tid = 0; tid < threads_.size(); ++tid) {
+        const ThreadState &t = threads_[tid];
+        rdy[tid] = t.status == ThreadStatus::Ready ? t.readyAt : kNever;
     }
-}
-
-Core::AheadResult
-Core::runAheadBurst(Cycle from, Cycle lim)
-{
-    AheadResult r;
-    ThreadState *const th[2] = {&threads_[0], &threads_[1]};
     // Scaling the switch energy is deterministic, so hoisting it out
     // of the loop keeps the charged bits identical.
     const power::RailEnergy switch_e =
         energy_.threadSwitchEnergy().scaled(dynFactor_);
-    Cycle cur = from;
     std::uint32_t last = lastIssued_;
+    Cycle cur = from;
+    // The result is filled in on exit only: AheadResult lives in the
+    // caller's frame, so per-issue stores to it would stay in the loop.
+    bool ticked = false;
+    Cycle ticked_at = 0;
+    // No store issues inside the loop, so the buffer only drains: once
+    // empty it stays empty.
+    bool sb_live = sbCount_ != 0;
+    const auto ready = [&](std::uint32_t tid) { return rdy[tid] <= cur; };
     for (;;) {
-        // Round-robin pick, in tickImpl's scan order: the sibling of
-        // the last issuer first.  `cur` is always a cycle where at
-        // least one thread is ready, so the fallback pick is ready.
-        std::uint32_t pick = last ^ 1u;
-        if (th[pick]->readyAt > cur)
-            pick = last;
-        ThreadState &t = *th[pick];
+        // `cur` is always a cycle where at least one thread is ready
+        // (the caller's next event, then the loop's own), so the pick
+        // always finds one.
+        if (sb_live) {
+            drainStoreBuffer(cur);
+            sb_live = sbCount_ != 0;
+        }
+        std::uint32_t pick;
+        if constexpr (Drafting) {
+            pick = pickMinPc(last, ready);
+        } else {
+            // tick()'s round-robin scan order: the sibling of the last
+            // issuer first, else the last issuer itself.
+            pick = last ^ 1u;
+            if (!ready(pick))
+                pick = last;
+        }
+        ThreadState &t = threads_[pick];
 
-        // Exit to the generic loop for anything but a core-local
-        // ALU/branch issue: tickImpl re-picks the same thread (nothing
-        // below mutates its inputs before this point).
+        // Pause before anything observable happens: the resume's
+        // tick() re-picks the same thread (nothing above mutated its
+        // inputs) and pays the switch charge then, exactly as the
+        // in-order path would.
         if (t.pc >= t.program->size())
             break;
         const isa::DecodedInst &d = t.program->decoded(t.pc);
-        switch (d.kind) {
-          case isa::IssueKind::Alu:
-          case isa::IssueKind::Branch:
+        if (d.kind == isa::IssueKind::Load || d.kind == isa::IssueKind::Store
+            || d.kind == isa::IssueKind::Cas)
             break;
-          default:
-            goto generic; // load/store/CAS (shared) or halt (rare)
+        // ALU/branch/halt: core-local iff the fetch stays in the tile's
+        // own L1I (which no other tile ever touches — fills come only
+        // from this tile's ifetch misses).  l1iResident() leaves LRU
+        // untouched; the committed fetch below applies the update.
+        const Addr fline = d.pc & l1iLineMask_;
+        CacheLine *const cl = t.fetchRef;
+        const bool filter_hit =
+            cl && t.fetchLine == fline && cl->tag == fline && cl->valid();
+        if (!filter_hit && !mem_.l1iResident(tile_, fline))
+            break;
+
+        // Committed to this issue: tick()'s per-cycle charge order
+        // (thread switch, fetch, exec).
+        const std::uint32_t pc_issue = t.pc;
+        capCycle_ = cur;
+        if constexpr (Drafting)
+            draftActive_ = draftCheck(pick, t);
+        if (pick != last && !(Drafting && draftActive_)) {
+            ++threadSwitches_;
+            charge(power::Category::Exec, switch_e);
         }
-        {
-            const Addr fline = d.pc & l1iLineMask_;
-            CacheLine *const cl = t.fetchRef;
-            const bool filter_hit = cl && t.fetchLine == fline
-                                    && cl->tag == fline && cl->valid();
-            if (!filter_hit && !mem_.l1iResident(tile_, fline))
-                break; // I-fetch miss: a shared op
+        last = pick;
 
-            // Committed to this issue: replicate tickImpl's per-cycle
-            // charge order (thread switch, fetch, exec).
-            const std::uint32_t pc_issue = t.pc;
-            capCycle_ = cur;
-            if (pick != last) {
-                ++threadSwitches_;
-                charge(power::Category::Exec, switch_e);
-            }
-            last = pick;
-
-            if (filter_hit) [[likely]] {
-                cl->lastUse = cur;
-            } else {
-                const std::uint32_t extra = mem_.ifetch(tile_, d.pc, cur);
-                piton_assert(extra == 0,
-                             "resident L1I line missed in ifetch");
-                t.fetchLine = fline;
-                t.fetchRef = mem_.l1iLine(tile_, fline);
-            }
-
-            const isa::InstClass cls = d.cls;
-            if (d.kind == isa::IssueKind::Branch) {
-                chargeExec(cls, t.cc.zero, t.cc.negative);
-                const bool taken = isa::branchTaken(d.op, t.cc);
-                t.pc = taken ? d.target : t.pc + 1;
-            } else {
-                const auto &srcs = d.fp ? t.fregs : t.regs;
-                const RegVal rs1 = srcs[d.rs1];
-                const RegVal rs2 = d.useImm ? static_cast<RegVal>(d.imm)
-                                            : srcs[d.rs2];
-                chargeExec(cls, rs1, rs2);
-                const isa::AluResult res = isa::evalAluOp(
-                    d.op, d.imm, rs1, rs2, hwidBase_ + pick);
-                if (res.writesRd && (d.fp || d.rd != 0)) {
-                    auto &dsts = d.fp ? t.fregs : t.regs;
-                    dsts[d.rd] = res.value;
-                }
-                if (res.setsCc)
-                    t.cc = res.cc;
-                ++t.pc;
-            }
-            ++t.classCounts[static_cast<std::size_t>(cls)];
-            t.readyAt = cur + d.latency;
-            ++t.instsExecuted;
-            if (bbvShift_ != 0)
-                noteBbv(pick, pc_issue);
-
-            r.last = cur;
-            r.ticked = true;
-            const Cycle next = std::max(
-                cur + 1, std::min(th[0]->readyAt, th[1]->readyAt));
-            if (next >= lim) {
-                lastIssued_ = last;
-                r.next = next;
-                return r;
-            }
-            cur = next;
+        if (filter_hit) [[likely]] {
+            cl->lastUse = cur;
+        } else {
+            const std::uint32_t extra = mem_.ifetch(tile_, d.pc, cur);
+            piton_assert(extra == 0, "resident L1I line missed in ifetch");
+            t.fetchLine = fline;
+            t.fetchRef = mem_.l1iLine(tile_, fline);
         }
+        rdy[pick] = executeLocal(t, d, pick, cur);
+        if constexpr (Drafting) {
+            if (draftActive_)
+                ++draftedInsts_;
+            lastIssue_[pick] = {t.program, pc_issue};
+            draftActive_ = false;
+        }
+        if (bbvShift_ != 0)
+            noteBbv(pick, pc_issue);
+
+        ticked = true;
+        ticked_at = cur;
+        const Cycle next = std::max(cur + 1, std::min(rdy[0], rdy[1]));
+        if (next >= lim) { // includes kNever: every thread done
+            lastIssued_ = last;
+            return {next, ticked_at, false, true};
+        }
+        cur = next;
     }
-  generic:
     lastIssued_ = last;
-    AheadResult g = runAheadGeneric(cur, lim);
-    if (r.ticked && (!g.ticked || g.last < r.last))
-        g.last = r.last;
-    g.ticked = g.ticked || r.ticked;
-    return g;
+    return {cur, ticked_at, true, ticked};
 }
+
+template Core::AheadResult Core::runAheadLoop<false>(Cycle, Cycle);
+template Core::AheadResult Core::runAheadLoop<true>(Cycle, Cycle);
 
 Core::AheadResult
 Core::resumeShared(Cycle c, Cycle lim)
@@ -407,7 +395,7 @@ Core::resumeShared(Cycle c, Cycle lim)
     // streams land in this core's log, in charge order.
     capCycle_ = c;
     ledger_.setCaptureCycle(c);
-    tickImpl<false>(c); // the pending shared-memory op
+    tick(c); // the pending shared-memory op
     const Cycle next = nextEventCycle(c + 1);
     if (next == kNever || next >= lim)
         return {next, c, false, true};
@@ -520,45 +508,9 @@ Core::issue(ThreadState &t, ThreadId tid, Cycle now)
         ++t.pc;
         return;
       }
-      case isa::IssueKind::Branch: {
-        chargeExec(cls, t.cc.zero, t.cc.negative);
-        const bool taken = isa::branchTaken(d.op, t.cc);
-        t.pc = taken ? d.target : t.pc + 1;
-        ++t.classCounts[static_cast<std::size_t>(cls)];
-        t.readyAt = now + d.latency;
-        ++t.instsExecuted;
+      default:
+        executeLocal(t, d, tid, now);
         return;
-      }
-      case isa::IssueKind::Halt:
-        t.status = ThreadStatus::Halted;
-        ++t.classCounts[static_cast<std::size_t>(cls)];
-        ++t.instsExecuted;
-        return;
-      case isa::IssueKind::Alu:
-      default: {
-        // ALU / FP / pseudo ops.  Source operand values drive the
-        // switching energy.
-        const auto &srcs = d.fp ? t.fregs : t.regs;
-        const RegVal rs1 = srcs[d.rs1];
-        const RegVal rs2 = d.useImm ? static_cast<RegVal>(d.imm)
-                                    : srcs[d.rs2];
-        chargeExec(cls, rs1, rs2);
-        const RegVal hwid = hwidBase_ + tid;
-        const isa::AluResult res =
-            isa::evalAluOp(d.op, d.imm, rs1, rs2, hwid);
-        // %r0 is hardwired zero; FP registers have no zero register.
-        if (res.writesRd && (d.fp || d.rd != 0)) {
-            auto &dsts = d.fp ? t.fregs : t.regs;
-            dsts[d.rd] = res.value;
-        }
-        if (res.setsCc)
-            t.cc = res.cc;
-        ++t.classCounts[static_cast<std::size_t>(cls)];
-        t.readyAt = now + d.latency;
-        ++t.instsExecuted;
-        ++t.pc;
-        return;
-      }
     }
 }
 

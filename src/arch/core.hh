@@ -121,8 +121,13 @@ class Core
                      const std::vector<std::pair<int, RegVal>> &init_regs = {});
 
     /**
-     * Advance the core at cycle `now`.
-     * @return true if an instruction issued this cycle.
+     * Advance the core at cycle `now`: lazily drain the store buffer,
+     * pick a ready thread (round-robin, or MinPC under Execution
+     * Drafting), pay the thread-switch charge, issue.  This is the
+     * in-order engine's step (legacy stepping, runWindow, and the
+     * shared-memory op of resumeShared); run-ahead rounds execute the
+     * core-local stretches in runAheadLoop instead.
+     * @return true if a thread issued (or stalled in ifetch) this cycle.
      */
     bool tick(Cycle now);
 
@@ -199,6 +204,12 @@ class Core
      * the chip can execute shared-memory ops in global (cycle, core)
      * order.  Energy charges are expected to be captured by the ledger
      * (EnergyLedger::beginCapture) and replayed in global order.
+     *
+     * One loop (runAheadLoop) serves every core state: one or two
+     * Ready threads, any store-buffer occupancy, halts, and Execution
+     * Drafting (its own instantiation).  There is no per-cycle
+     * fallback.  Never called with a trace hook installed: the chip
+     * runs traced cores in order instead (see hasTraceHook).
      */
     AheadResult runAhead(Cycle from, Cycle lim);
 
@@ -209,7 +220,7 @@ class Core
 
     /** Whether a per-instruction trace hook is installed (the chip's
      *  run-ahead scheduler is disabled then: hook invocation order
-     *  across cores is observable). */
+     *  across cores is observable, and runAhead never invokes it). */
     bool hasTraceHook() const { return static_cast<bool>(trace_); }
 
     /**
@@ -255,7 +266,7 @@ class Core
      * brackets each round with this, so a phase-1 slice never touches
      * the shared ledger and replay can restore the in-order FP add
      * sequence afterwards.  The core's charge cycle is maintained
-     * internally by the run-ahead loops (capCycle_).
+     * internally by runAheadLoop and resumeShared (capCycle_).
      */
     void beginCapture(std::vector<power::CapturedCharge> *log, Cycle base)
     {
@@ -304,47 +315,71 @@ class Core
     void serialize(ckpt::Archive &ar, const ckpt::ProgramTable &pt);
 
   private:
-    /** What a tickImpl call did. */
-    enum class TickOutcome : std::uint8_t
+    /** Most hardware threads a core can hold: the Piton core is
+     *  two-way multithreaded, and the run-ahead loop's round-robin
+     *  pick and next-event cycle are written for one or two. */
+    static constexpr std::uint32_t kMaxThreadsPerCore = 2;
+
+    /**
+     * The run-ahead loop behind runAhead: one core-local issue loop for
+     * every core in a round, whatever its thread and store-buffer
+     * state.  It serves one or two Ready threads (an Idle or Halted
+     * thread is never picked and never sets the next event cycle),
+     * drains the store buffer lazily before each pick as tick() does,
+     * and retires Halt in place.  It returns `paused` itself, before
+     * the switch charge, when the picked thread's next action would
+     * touch MemorySystem: a load/store/CAS, a fetch that misses the
+     * tile's own L1I, or a pc past the end of the program (issue()'s
+     * diagnostic must fire in global order).  Drafting selects
+     * Execution Drafting's MinPC pick and draft bookkeeping at compile
+     * time, so the plain round-robin instantiation carries none of it.
+     * Per-cycle charge order (switch, fetch, exec) matches tick().
+     */
+    template <bool Drafting>
+    AheadResult runAheadLoop(Cycle from, Cycle lim);
+
+    /** Execution Drafting's MinPC pick: the ready thread furthest
+     *  behind in the (shared) program issues first, pulling similar
+     *  threads into lockstep so their instructions draft; ties
+     *  alternate issuers.  threadCount() when no thread is ready. */
+    template <typename ReadyFn>
+    std::uint32_t
+    pickMinPc(std::uint32_t last, ReadyFn ready) const
     {
-        NoPick, ///< no thread could issue this cycle
-        Picked, ///< a thread issued (or stalled in ifetch) this cycle
-        Paused, ///< Ahead mode only: stopped before a shared-memory op
-    };
-
-    /**
-     * One scheduling cycle.  Ahead mode returns Paused — with no state
-     * mutated beyond the (idempotent, invisible) store-buffer drain —
-     * when the picked thread's next action would touch MemorySystem.
-     */
-    template <bool Ahead>
-    TickOutcome tickImpl(Cycle now);
-
-    /** Would issuing thread `t` touch MemorySystem?  True for
-     *  load/store/CAS instructions and for fetches that miss both the
-     *  MRU filter and the tile's own L1I. */
-    bool sharedPick(const ThreadState &t) const;
-
-    /** The general per-cycle run-ahead loop (tickImpl<true> per event). */
-    AheadResult runAheadGeneric(Cycle from, Cycle lim);
-
-    /**
-     * Specialized run-ahead for the steady state of the fast path:
-     * two ready threads, no Execution Drafting, no pending stores.
-     * Executes ALU/branch instructions whose fetch stays core-local in
-     * a tight loop that skips the pick scan, store-buffer drain and
-     * next-event recomputation of the generic path, falling back to
-     * runAheadGeneric at the first event it cannot prove equivalent.
-     * Charge order per cycle (switch, fetch, exec) matches tickImpl.
-     */
-    AheadResult runAheadBurst(Cycle from, Cycle lim);
+        const auto n = static_cast<std::uint32_t>(threads_.size());
+        std::uint32_t pick = n;
+        for (std::uint32_t tid = 0; tid < n; ++tid) {
+            if (!ready(tid))
+                continue;
+            const ThreadState &t = threads_[tid];
+            if (pick == n)
+                pick = tid;
+            else if (threads_[pick].program == t.program
+                     && t.pc < threads_[pick].pc)
+                pick = tid;
+            else if (threads_[pick].program == t.program
+                     && t.pc == threads_[pick].pc && pick == last)
+                pick = tid;
+        }
+        return pick;
+    }
 
     void issue(ThreadState &t, ThreadId tid, Cycle now);
+    /** Execute a fetched ALU, branch or halt instruction: everything
+     *  issue() does after the fetch for those kinds.  Returns the
+     *  thread's next ready cycle, kNever once it halted. */
+    Cycle executeLocal(ThreadState &t, const isa::DecodedInst &d,
+                       ThreadId tid, Cycle now);
 
     /** Charge to the chip ledger and the per-tile accumulator.
-     *  Inline: this is called once or twice per issued instruction.
-     *  Under a core capture the charge lands in the core-owned log —
-     *  no shared ledger access; replay applies both shares later. */
+     *  Forced inline: this is called once or twice per issued
+     *  instruction.  Under a core capture (every run-ahead round) the
+     *  charge is one append to the core-owned log — no shared ledger
+     *  access; replay applies both shares later.  The uncaptured path
+     *  is out of line (chargeLedger). */
+#if defined(__GNUC__)
+    [[gnu::always_inline]]
+#endif
     void
     charge(power::Category c, const power::RailEnergy &e)
     {
@@ -355,10 +390,9 @@ class Core
                                            | power::kCapturedCoreBit)});
             return;
         }
-        if (ledger_.addCore(c, e))
-            return; // captured: replay applies the per-tile share
-        tileEnergy_.add(tile_, e);
+        chargeLedger(c, e);
     }
+    void chargeLedger(power::Category c, const power::RailEnergy &e);
 
     void
     chargeExec(isa::InstClass cls, RegVal rs1, RegVal rs2)
@@ -413,8 +447,8 @@ class Core
     /** Active charge-capture log (see beginCapture), or nullptr. */
     std::vector<power::CapturedCharge> *capLog_ = nullptr;
     Cycle capBase_ = 0;
-    /** Cycle tag for captured charges; the run-ahead loops set it
-     *  before every event they execute. */
+    /** Cycle tag for captured charges; runAheadLoop and resumeShared
+     *  set it before every event they execute. */
     Cycle capCycle_ = 0;
     std::uint32_t lastIssued_ = 0;
     /** DVFS duty gate (see setDvfsGated); not checkpointed — the

@@ -295,5 +295,19 @@ TEST_F(CoreTest, FallingOffProgramEndPanics)
     EXPECT_THROW(chip_.run(10000), std::logic_error);
 }
 
+TEST(CoreConfig, ThreadsPerCoreOutsideOneToTwoPanics)
+{
+    // The run-ahead loop keeps one ready cycle per hardware thread in
+    // a two-entry array; a wider core must be refused, not overrun it.
+    power::EnergyModel energy;
+    for (const std::uint32_t tpc : {0u, 3u}) {
+        config::PitonParams params;
+        params.threadsPerCore = tpc;
+        EXPECT_THROW(PitonChip(params, chip::makeChip(2), energy, 11),
+                     std::logic_error)
+            << tpc << " threads per core";
+    }
+}
+
 } // namespace
 } // namespace piton::arch

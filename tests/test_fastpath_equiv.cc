@@ -2,14 +2,14 @@
  * @file
  * Reference-path equivalence suite for the fast path (DESIGN.md §9).
  *
- * The event-driven chip scheduler (run-ahead rounds + burst issue)
- * promises results *bit-identical* to the legacy per-cycle stepping:
- * same cycle counts, same per-class retirement counts, and — because
- * floating-point addition is not associative — the exact same ledger
- * sums, down to the last mantissa bit.  These tests run every
- * microbenchmark (and targeted stress programs) under both
- * SystemOptions::fastPath settings and compare everything observable,
- * including a byte-for-byte telemetry CSV diff.
+ * The event-driven chip scheduler (run-ahead rounds + the core-local
+ * run-ahead loop) promises results *bit-identical* to the legacy
+ * per-cycle stepping: same cycle counts, same per-class retirement
+ * counts, and — because floating-point addition is not associative —
+ * the exact same ledger sums, down to the last mantissa bit.  These
+ * tests run every microbenchmark (and targeted stress programs) under
+ * both SystemOptions::fastPath settings and compare everything
+ * observable, including a byte-for-byte telemetry CSV diff.
  */
 
 #include <array>
@@ -109,9 +109,10 @@ expectEqualFingerprints(const RunFingerprint &fast,
     EXPECT_TRUE(fast == legacy);
 }
 
-/** Run one microbenchmark on a full 25-core system. */
+/** Run one microbenchmark on `cores` tiles at `threads_per_core`. */
 RunFingerprint
 runMicrobench(workloads::Microbench m, bool fast_path, bool drafting,
+              std::uint32_t cores, std::uint32_t threads_per_core,
               Cycle cycles)
 {
     sim::SystemOptions opts;
@@ -119,14 +120,20 @@ runMicrobench(workloads::Microbench m, bool fast_path, bool drafting,
     sim::System sys(opts);
     if (drafting)
         sys.pitonChip().setExecDrafting(true);
-    const auto programs = workloads::loadMicrobench(sys, m, 25, 2, 0);
+    const auto programs = workloads::loadMicrobench(
+        sys, m, cores, threads_per_core, 0);
     const auto r = sys.pitonChip().run(cycles);
     return fingerprint(sys.pitonChip(), r);
 }
 
-/** (microbench, drafting): every workload/drafting combination runs
- *  the fast path against the legacy baseline, bit for bit. */
-using EquivParam = std::tuple<workloads::Microbench, bool>;
+/** (microbench, drafting, cores, threads per core): every workload/
+ *  drafting combination runs the fast path against the legacy
+ *  baseline, bit for bit, on the full chip and on a partly loaded one
+ *  (13 of 25 cores), with one and with two threads per core — one
+ *  Ready thread leaves its sibling Idle, which the run-ahead loop must
+ *  neither pick nor schedule. */
+using EquivParam =
+    std::tuple<workloads::Microbench, bool, std::uint32_t, std::uint32_t>;
 
 class FastPathEquivalence : public ::testing::TestWithParam<EquivParam>
 {
@@ -134,19 +141,30 @@ class FastPathEquivalence : public ::testing::TestWithParam<EquivParam>
 
 TEST_P(FastPathEquivalence, MicrobenchIsBitIdentical)
 {
-    const auto [bench, drafting] = GetParam();
-    const auto fast = runMicrobench(bench, true, drafting, 30000);
-    const auto legacy = runMicrobench(bench, false, drafting, 30000);
+    const auto [bench, drafting, cores, tpc] = GetParam();
+    const auto fast = runMicrobench(bench, true, drafting, cores, tpc, 30000);
+    const auto legacy =
+        runMicrobench(bench, false, drafting, cores, tpc, 30000);
     expectEqualFingerprints(fast, legacy);
 }
 
 /** Instance names end in "T1" (the engine runs on one thread); keep
- *  the suffix so the test ids stay stable. */
+ *  the suffix so the test ids stay stable.  The full chip at 2 T/C
+ *  keeps its original name; other shapes add "_<cores>x<tpc>". */
 std::string
 equivParamName(const ::testing::TestParamInfo<EquivParam> &info)
 {
-    return std::string(workloads::microbenchName(std::get<0>(info.param)))
-           + (std::get<1>(info.param) ? "ExecD" : "") + "T1";
+    const auto [bench, drafting, cores, tpc] = info.param;
+    std::string name = workloads::microbenchName(bench);
+    if (drafting)
+        name += "ExecD";
+    if (cores != 25 || tpc != 2) {
+        name += "_";
+        name += std::to_string(cores);
+        name += "x";
+        name += std::to_string(tpc);
+    }
+    return name + "T1";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,7 +172,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(workloads::Microbench::Int,
                                          workloads::Microbench::HP,
                                          workloads::Microbench::Hist),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Values(25u, 13u),
+                       ::testing::Values(2u, 1u)),
     equivParamName);
 
 /** Store-buffer pressure: back-to-back stores overflow the 8-entry

@@ -5,7 +5,8 @@
  * A seeded generator builds random-but-always-terminating programs
  * over the modelled ISA (ALU, mul/div, FP, loads/stores, CAS, forward
  * branches, a bounded outer loop) and runs each one three ways on a
- * small multi-tile chip:
+ * small multi-tile chip (every third seed leaves thread 1 of the odd
+ * tiles Idle, so cores with one Ready thread run too):
  *
  *   1. fast path      — the event-driven engine,
  *   2. legacy path    — the per-cycle reference stepping,
@@ -279,13 +280,32 @@ fingerprint(const arch::PitonChip &chip)
     return f;
 }
 
+/**
+ * Which hardware threads get the program.  Every third seed is
+ * `sparse`: thread 1 of each odd tile stays Idle, so those cores run
+ * with one Ready thread.  The choice comes from `seed % 3`, not from an
+ * rng draw, so every seed still generates the program it always did.
+ */
+bool
+sparseSeed(std::uint64_t seed)
+{
+    return seed % 3 == 0;
+}
+
+bool
+loadsThread(bool sparse, TileId tile, ThreadId tid)
+{
+    return !(sparse && tid == 1 && tile % 2 == 1);
+}
+
 struct ChipUnderTest
 {
     config::PitonParams params;
     power::EnergyModel energy;
     arch::PitonChip chip;
 
-    ChipUnderTest(const isa::Program *p, bool fast, bool drafting)
+    ChipUnderTest(const isa::Program *p, bool fast, bool drafting,
+                  bool sparse)
         : params(makeParams()),
           chip(params, chip::makeChip(2), energy, 17)
     {
@@ -295,7 +315,8 @@ struct ChipUnderTest
         if (p != nullptr)
             for (TileId t = 0; t < kTiles; ++t)
                 for (ThreadId tid = 0; tid < kThreadsPerCore; ++tid)
-                    chip.loadProgram(t, tid, p);
+                    if (loadsThread(sparse, t, tid))
+                        chip.loadProgram(t, tid, p);
     }
 
     static config::PitonParams
@@ -327,10 +348,11 @@ runOneSeed(std::uint64_t seed)
     const isa::Program p = generateProgram(seed);
     Rng rng(seed ^ 0xD1B54A32D192ED03ULL);
     const bool drafting = rng.chance(0.25);
+    const bool sparse = sparseSeed(seed);
 
     // Reference: fast path, straight through (split into two run()
     // calls so the resumed flow below sees the same call pattern).
-    ChipUnderTest fast(&p, true, drafting);
+    ChipUnderTest fast(&p, true, drafting, sparse);
     const auto head = fast.chip.run(1 + rng.below(2000));
     const Cycle split = fast.chip.now();
     fast.chip.run(kMaxCycles);
@@ -340,20 +362,21 @@ runOneSeed(std::uint64_t seed)
                                    << disassemble(p, seed);
 
     // Legacy engine must agree bit-for-bit.
-    ChipUnderTest legacy(&p, false, drafting);
+    ChipUnderTest legacy(&p, false, drafting, sparse);
     legacy.chip.run(split);
     legacy.chip.run(kMaxCycles);
     EXPECT_TRUE(fingerprint(legacy.chip) == ref)
-        << "fast vs legacy divergence\n"
+        << "fast vs legacy divergence" << (sparse ? " (sparse)" : "")
+        << "\n"
         << disassemble(p, seed);
 
     // Checkpoint at the split and restore into a fresh chip
     // (alternating restore engine), resume; must land on the same final
     // state.
-    ChipUnderTest saver(&p, true, drafting);
+    ChipUnderTest saver(&p, true, drafting, sparse);
     saver.chip.run(split);
     const std::vector<std::uint8_t> image = saver.chip.saveBytes();
-    ChipUnderTest resumed(nullptr, (seed % 2) == 0, drafting);
+    ChipUnderTest resumed(nullptr, (seed % 2) == 0, drafting, sparse);
     resumed.chip.restoreBytes(image);
     resumed.chip.run(kMaxCycles);
     EXPECT_TRUE(fingerprint(resumed.chip) == ref)
@@ -406,7 +429,7 @@ storePressureProgram()
 
 void
 denseSplitAudit(const isa::Program &p, std::uint32_t store_buffer_entries,
-                bool drafting, const char *what)
+                bool drafting, const char *what, bool sparse = false)
 {
     config::PitonParams params = ChipUnderTest::makeParams();
     params.storeBufferEntries = store_buffer_entries;
@@ -419,7 +442,8 @@ denseSplitAudit(const isa::Program &p, std::uint32_t store_buffer_entries,
         if (load)
             for (TileId t = 0; t < kTiles; ++t)
                 for (ThreadId tid = 0; tid < kThreadsPerCore; ++tid)
-                    chip->loadProgram(t, tid, &p);
+                    if (loadsThread(sparse, t, tid))
+                        chip->loadProgram(t, tid, &p);
         return chip;
     };
 
@@ -486,7 +510,8 @@ TEST(CheckpointBoundaryAudit, FuzzedProgramsDenseSplits)
     for (std::uint64_t seed = 101; seed < 101 + iters; ++seed) {
         SCOPED_TRACE("dense-split seed " + std::to_string(seed));
         denseSplitAudit(generateProgram(seed), /*store_buffer_entries=*/2,
-                        /*drafting=*/(seed % 2) == 0, "fuzzed program");
+                        /*drafting=*/(seed % 2) == 0, "fuzzed program",
+                        sparseSeed(seed));
         if (::testing::Test::HasFatalFailure())
             return;
     }
